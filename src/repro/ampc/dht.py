@@ -6,9 +6,10 @@ edge-rank-sorted adjacency for matching, weight-sorted adjacency for
 MSF, successor lists for cycles) and *write it to the key-value store*;
 subsequent rounds make adaptive point lookups against it.
 
-Here the "write to the KV store" is: run that one shuffle in Spark
-(``groupBy``+``collect_list``), collect the result, and wrap it as a
-read-only store that algorithms ship to executors with
+Here the "write to the KV store" is: run that one shuffle in Spark (a
+flat ``repartition("src")`` exchange of ``(src, dst, key)`` rows),
+collect it as Arrow columns, sort it into a :class:`CSRStore` on the
+driver and ship its three arrays to executors with
 ``sparkContext.broadcast``. Within the following ``mapInPandas`` round
 every task has random read access to every key — the defining AMPC
 capability — without any further shuffle.
@@ -25,7 +26,6 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
 from repro.hashing import edge_rank, hash01
 from repro.runtime import RoundContext
@@ -33,18 +33,44 @@ from repro.runtime import RoundContext
 _WORD = 8  # bytes per id / weight, the model's "constant number of words"
 
 
+@dataclass(frozen=True)
+class CSRStore:
+    """Adjacency in compressed sparse rows.
+
+    Row ``x`` is ``dst[indptr[x]:indptr[x+1]]`` with the per-neighbor
+    sort keys (rank or weight) ``key[...]``, ordered by ``(key, dst)``.
+    """
+
+    indptr: np.ndarray
+    dst: np.ndarray
+    key: np.ndarray
+
+    @classmethod
+    def from_rows(cls, src: np.ndarray, dst: np.ndarray, key: np.ndarray) -> CSRStore:
+        """Store of the directed rows ``src -> dst`` carrying ``key``."""
+        src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+        order = np.lexsort((dst, key, src))
+        indptr = np.zeros(int(src.max(initial=-1)) + 2, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=len(indptr) - 1), out=indptr[1:])
+        return cls(indptr, dst[order], np.asarray(key, dtype=np.float64)[order])
+
+    def get(self, x: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(neighbors, keys)`` of ``x``; empty for ids without a row."""
+        if 0 <= x < len(self.indptr) - 1:
+            lo, hi = self.indptr[x], self.indptr[x + 1]
+            return self.dst[lo:hi], self.key[lo:hi]
+        return self.dst[:0], self.key[:0]
+
+
 @dataclass
 class DHT:
     """A built, read-only key-value store plus its size accounting.
 
-    ``store`` maps vertex id -> ``(neighbors, keys)`` numpy arrays
-    (``keys`` is the per-neighbor sort key: rank or weight), or is any
-    mapping the algorithm understands (e.g. raw successor arrays for
-    cycles).
+    ``store`` is a :class:`CSRStore`, or the raw ``(n, 2)`` successor
+    array for cycles.
     """
 
     store: Any
-    entries: int
     payload_bytes: int
 
 
@@ -70,43 +96,40 @@ class Meter:
         self.cache_hits += 1
 
 
-_SYM_SCHEMA = StructType(
-    [
-        StructField("src", LongType()),
-        StructField("dst", LongType()),
-        StructField("key", DoubleType()),
-    ]
-)
+_SYM_SCHEMA = "src long, dst long, key double"
 
 
-def _symmetric_with_key(edges: DataFrame, sort: str, seed: int) -> DataFrame:
-    """Both orientations of each edge with the per-neighbor sort key.
+def _symmetric_with_key(edges: DataFrame, sort: str, direct: bool, seed: int) -> DataFrame:
+    """Both orientations of each edge with the per-neighbor sort key;
+    ``direct`` keeps only the rows whose neighbor precedes ``src`` in π.
 
-    Narrow ops only (union + mapInPandas); the single shuffle happens in
-    :func:`build_sorted_adjacency`'s groupBy.
+    One narrow map; the single shuffle happens in :func:`_flat_exchange`.
     """
-    cols = ["u", "v"] + (["w"] if "w" in edges.columns else [])
-    fwd = edges.select(*cols)
-    rev = edges.select(
-        F.col("v").alias("u"), F.col("u").alias("v"), *(["w"] if "w" in cols else [])
-    )
-    sym = fwd.union(rev)
 
     def add_key(batches):
         for pdf in batches:
-            src = pdf["u"].to_numpy()
-            dst = pdf["v"].to_numpy()
+            u, v = pdf["u"].to_numpy(), pdf["v"].to_numpy()
+            src, dst = np.concatenate([u, v]), np.concatenate([v, u])
             if sort == "vertex_rank":
                 key = hash01(dst, seed)
             elif sort == "edge_rank":
                 key = edge_rank(src, dst, seed)
             elif sort == "weight":
-                key = pdf["w"].to_numpy().astype(np.float64)
+                key = np.tile(pdf["w"].to_numpy().astype(np.float64), 2)
             else:  # pragma: no cover
                 raise ValueError(f"unknown sort mode {sort!r}")
-            yield pd.DataFrame({"src": src, "dst": dst, "key": key})
+            keep = key < hash01(src, seed) if direct else slice(None)
+            yield pd.DataFrame({"src": src[keep], "dst": dst[keep], "key": key[keep]})
 
-    return sym.mapInPandas(add_key, schema=_SYM_SCHEMA)
+    return edges.mapInPandas(add_key, schema=_SYM_SCHEMA)
+
+
+def _flat_exchange(edges: DataFrame, sort: str, direct: bool, seed: int) -> DataFrame:
+    """The keyed rows hash-partitioned on ``src`` by one exchange; the
+    order within each row is left to :meth:`CSRStore.from_rows`."""
+    if direct and sort != "vertex_rank":
+        raise ValueError("direct=True only makes sense with vertex_rank sort")
+    return _symmetric_with_key(edges, sort, direct, seed).repartition("src")
 
 
 def build_sorted_adjacency(
@@ -130,36 +153,17 @@ def build_sorted_adjacency(
       (π(neighbor) < π(vertex)), i.e. the directed graph of Figure 1.
 
     Counts exactly one shuffle on ``ctx`` and records the KV payload
-    size. Vertices with no (kept) neighbors are absent from the store;
-    readers treat a miss as an empty list.
+    size. Vertices with no (kept) neighbors have an empty row.
     """
-    keyed = _symmetric_with_key(edges, sort, seed)
-    if direct:
-        if sort != "vertex_rank":
-            raise ValueError("direct=True only makes sense with vertex_rank sort")
-
-        def keep_earlier(batches):
-            for pdf in batches:
-                mask = pdf["key"].to_numpy() < hash01(pdf["src"].to_numpy(), seed)
-                yield pdf[mask]
-
-        keyed = keyed.mapInPandas(keep_earlier, schema=_SYM_SCHEMA)
-
-    grouped = keyed.groupBy("src").agg(
-        F.sort_array(F.collect_list(F.struct("key", "dst"))).alias("nbrs")
-    )
+    rows = _flat_exchange(edges, sort, direct, seed)
     ctx.shuffle(1)  # the one costly round: Flume GroupByKey / Spark exchange
-    rows = grouped.toPandas()
-
-    store: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    payload = 0
-    for src, nbrs in zip(rows["src"].tolist(), rows["nbrs"].tolist()):
-        keys = np.fromiter((x["key"] for x in nbrs), dtype=np.float64, count=len(nbrs))
-        dsts = np.fromiter((x["dst"] for x in nbrs), dtype=np.int64, count=len(nbrs))
-        store[int(src)] = (dsts, keys)
-        payload += (2 * len(nbrs) + 1) * _WORD
+    pdf = rows.toPandas()
+    src = pdf["src"].to_numpy()
+    store = CSRStore.from_rows(src, pdf["dst"].to_numpy(), pdf["key"].to_numpy())
+    rows_used = int(np.count_nonzero(np.diff(store.indptr)))  # one key word per KV entry
+    payload = (2 * len(src) + rows_used) * _WORD
     ctx.kv_bytes += payload
-    return DHT(store=store, entries=len(store), payload_bytes=payload)
+    return DHT(store=store, payload_bytes=payload)
 
 
 def build_cycle_store(
@@ -188,4 +192,4 @@ def build_cycle_store(
     nbr[src, 1] = rows["n2"].to_numpy()
     payload = nbr.size * _WORD
     ctx.kv_bytes += payload
-    return DHT(store=nbr, entries=n, payload_bytes=payload)
+    return DHT(store=nbr, payload_bytes=payload)

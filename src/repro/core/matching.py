@@ -31,13 +31,11 @@ from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import BooleanType, LongType, StructField, StructType
 
-from repro.ampc.dht import Meter, build_sorted_adjacency
+from repro.ampc.dht import CSRStore, Meter, build_sorted_adjacency
 from repro.graphs.generators import GraphData
 from repro.hashing import edge_rank
 from repro.mpc import DEFAULT_CUTOFF_EDGES
 from repro.runtime import RoundContext
-
-_EMPTY = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
 
 
 @dataclass
@@ -57,7 +55,7 @@ class _Truncated(Exception):
 def _resolve_edge(
     e: tuple[int, int],
     rank_e: float,
-    store: dict,
+    store: CSRStore,
     memo: dict,
     meter: Meter,
     budget: list,
@@ -79,7 +77,7 @@ def _resolve_edge(
             meter.lookup(words=2)
             meter.lookup(words=2)
             budget[0] += 2
-            frame[3] = (store.get(a, _EMPTY), store.get(b, _EMPTY))
+            frame[3] = (store.get(a), store.get(b))
         else:
             meter.hit()
         if budget[0] > budget[1] > 0:
@@ -168,7 +166,7 @@ def ampc_maximal_matching(
             for pdf in batches:
                 for x in pdf["id"].tolist():
                     x = int(x)
-                    nbrs, ranks = store.get(x, _EMPTY)
+                    nbrs, ranks = store.get(x)
                     memo = shared_memo if cache else {}
                     spent = [0, budget]
                     partner = -1
@@ -343,7 +341,9 @@ def mpc_maximal_matching(
     # Edge relation with rank; kept as a DataFrame across phases.
     e0 = g.edges.copy()
     e0["r"] = edge_rank(g.u(), g.v(), seed)
-    edges = spark.createDataFrame(e0[["u", "v", "r"]]).localCheckpoint(eager=True)
+    edges = spark.createDataFrame(
+        e0[["u", "v", "r"]], schema="u long, v long, r double"
+    ).localCheckpoint(eager=True)
 
     while True:
         m_now = edges.count()

@@ -22,20 +22,17 @@ import pandas as pd
 from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import (
-    ArrayType,
     BooleanType,
     LongType,
     StructField,
     StructType,
 )
 
-from repro.ampc.dht import Meter, build_sorted_adjacency
+from repro.ampc.dht import CSRStore, Meter, build_sorted_adjacency
 from repro.graphs.generators import GraphData
 from repro.hashing import hash01
 from repro.mpc import DEFAULT_CUTOFF_EDGES
 from repro.runtime import RoundContext
-
-_EMPTY = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
 
 
 @dataclass
@@ -58,7 +55,7 @@ _OUT_SCHEMA = StructType(
 )
 
 
-def _resolve_in_mis(root: int, store: dict, memo: dict, meter: Meter) -> bool:
+def _resolve_in_mis(root: int, store: CSRStore, memo: dict, meter: Meter) -> bool:
     """Iterative version of Figure 1's ``InMIS`` recursion.
 
     A vertex is in the MIS iff none of its earlier-permutation
@@ -75,7 +72,7 @@ def _resolve_in_mis(root: int, store: dict, memo: dict, meter: Meter) -> bool:
             continue
         if frame[2] is None:
             meter.lookup(words=1)
-            frame[2] = store.get(x, _EMPTY)[0]
+            frame[2] = store.get(x)[0]
         else:
             meter.hit()  # resumed frame: neighbor list already fetched
         nbrs = frame[2]
@@ -154,11 +151,6 @@ def ampc_mis(
 # --------------------------------------------------------------------------
 # MPC (Figure 2)
 # --------------------------------------------------------------------------
-
-_ADJ_SCHEMA = StructType(
-    [StructField("id", LongType()), StructField("nbrs", ArrayType(LongType()))]
-)
-
 
 def build_adjacency_df(spark: SparkSession, g: GraphData, ctx: RoundContext):
     """PCollection<NodeId, Node> input format of Figure 2.

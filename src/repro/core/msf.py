@@ -36,14 +36,12 @@ from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
-from repro.ampc.dht import Meter, build_sorted_adjacency
+from repro.ampc.dht import CSRStore, Meter, build_sorted_adjacency
 from repro.graphs.generators import GraphData
 from repro.hashing import coin, hash01
 from repro.mpc import DEFAULT_CUTOFF_EDGES
 from repro.reference import kruskal_msf
 from repro.runtime import RoundContext
-
-_EMPTY = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
 
 
 @dataclass
@@ -73,7 +71,7 @@ _PRIM_SCHEMA = StructType(
 
 def _prim_search(
     v: int,
-    store: dict,
+    store: CSRStore,
     ranks_of,
     budget: int,
     meter: Meter,
@@ -92,7 +90,7 @@ def _prim_search(
     visits: list[tuple[int, int]] = []
     heap: list[tuple[float, int, int]] = []
     meter.lookup(words=2)
-    nbrs, ws = store.get(v, _EMPTY)
+    nbrs, ws = store.get(v)
     for y, w in zip(nbrs.tolist(), ws.tolist()):
         heapq.heappush(heap, (float(w), v, int(y)))
     while heap:
@@ -111,7 +109,7 @@ def _prim_search(
         if len(visited) >= budget:
             return msf_edges, visits  # stopping condition (1)
         meter.lookup(words=2)
-        tn, tw = store.get(to, _EMPTY)
+        tn, tw = store.get(to)
         for y, w2 in zip(tn.tolist(), tw.tolist()):
             if int(y) not in visited:
                 heapq.heappush(heap, (float(w2), to, int(y)))
@@ -299,9 +297,9 @@ def mpc_msf(
     e0 = g.edges.copy()
     e0["cu"] = e0["u"]
     e0["cv"] = e0["v"]
-    edges = spark.createDataFrame(e0[["u", "v", "w", "cu", "cv"]]).localCheckpoint(
-        eager=True
-    )
+    edges = spark.createDataFrame(
+        e0[["u", "v", "w", "cu", "cv"]], schema="u long, v long, w double, cu long, cv long"
+    ).localCheckpoint(eager=True)
 
     while True:
         m_now = edges.count()

@@ -48,7 +48,9 @@ class GraphData:
         return self.edges["w"].to_numpy()
 
     def to_spark(self, spark: SparkSession) -> DataFrame:
-        return spark.createDataFrame(self.edges)
+        cols = [c for c in ("u", "v", "w") if c in self.edges.columns]
+        schema = ", ".join(f"{c} {'double' if c == 'w' else 'long'}" for c in cols)
+        return spark.createDataFrame(self.edges[cols], schema=schema)
 
 
 def _canonicalize(n: int, a: np.ndarray, b: np.ndarray) -> pd.DataFrame:

@@ -1,10 +1,15 @@
 """AMPC DHT construction, metering, cost model, and round accounting."""
+import re
+
 import numpy as np
+import pandas as pd
 import pytest
 
+from repro.ampc import dht as dht_mod
 from repro.ampc.cost import LATENCY_S, modeled_time
-from repro.ampc.dht import Meter, build_cycle_store, build_sorted_adjacency
+from repro.ampc.dht import CSRStore, Meter, build_cycle_store, build_sorted_adjacency
 from repro.graphs import generators as gen
+from repro.graphs.generators import GraphData
 from repro.hashing import edge_rank, hash01
 from repro.runtime import RoundContext
 
@@ -20,6 +25,45 @@ class TestMeter:
         assert m.kv_bytes == 4 * 8
 
 
+def _rows(store: CSRStore):
+    """``(src, neighbors, keys)`` of every non-empty row."""
+    for src in np.flatnonzero(np.diff(store.indptr)).tolist():
+        yield (src, *store.get(src))
+
+
+def _star_tied(leaves: int, order: np.ndarray) -> GraphData:
+    """Weighted star (center 0) plus a leaf path, every weight 1.0."""
+    u = np.r_[np.zeros(leaves, dtype=np.int64), np.arange(1, leaves)]
+    v = np.r_[np.arange(1, leaves + 1), np.arange(2, leaves + 1)]
+    edges = pd.DataFrame({"u": u, "v": v, "w": np.ones(len(u))})
+    return GraphData(n=leaves + 1, edges=edges.iloc[order].reset_index(drop=True))
+
+
+class TestCSRStore:
+    def test_rows_sorted_by_key_then_dst(self):
+        store = CSRStore.from_rows(
+            np.array([2, 2, 2, 0, 2]),
+            np.array([9, 4, 7, 1, 3]),
+            np.array([0.5, 0.5, 0.1, 0.3, 0.5]),
+        )
+        assert store.indptr.tolist() == [0, 1, 1, 5]
+        nbrs, keys = store.get(2)
+        assert nbrs.tolist() == [7, 3, 4, 9]  # tied keys 0.5 ordered by dst
+        assert keys.tolist() == [0.1, 0.5, 0.5, 0.5]
+
+    def test_missing_and_out_of_range_rows_empty(self):
+        store = CSRStore.from_rows(np.array([0, 3]), np.array([3, 0]), np.array([1.0, 1.0]))
+        for x in (1, 2, 4, 10**9, -1):
+            nbrs, keys = store.get(x)
+            assert len(nbrs) == len(keys) == 0
+            assert nbrs.dtype == np.int64 and keys.dtype == np.float64
+
+    def test_empty(self):
+        store = CSRStore.from_rows(*(np.empty(0, dtype=np.int64),) * 2, np.empty(0))
+        assert store.indptr.tolist() == [0]
+        assert len(store.get(0)[0]) == 0
+
+
 class TestBuildSortedAdjacency:
     def test_vertex_rank_sorted(self, spark):
         g = gen.chung_lu(50, 5, 2.2, seed=0)
@@ -28,7 +72,7 @@ class TestBuildSortedAdjacency:
             spark, g.to_spark(spark), ctx, sort="vertex_rank", seed=3
         )
         assert ctx.shuffles == 1
-        for src, (nbrs, keys) in dht.store.items():
+        for src, nbrs, keys in _rows(dht.store):
             assert np.all(np.diff(keys) >= 0)
             assert np.allclose(keys, hash01(nbrs, 3))
 
@@ -38,7 +82,7 @@ class TestBuildSortedAdjacency:
         dht = build_sorted_adjacency(
             spark, g.to_spark(spark), ctx, sort="vertex_rank", direct=True, seed=0
         )
-        for src, (nbrs, keys) in dht.store.items():
+        for src, nbrs, keys in _rows(dht.store):
             r_src = hash01(np.array([src]), 0)[0]
             assert (keys < r_src).all()
 
@@ -54,17 +98,15 @@ class TestBuildSortedAdjacency:
             sort="vertex_rank",
             direct=True,
         )
-        n_full = sum(len(v[0]) for v in full.store.values())
-        n_direct = sum(len(v[0]) for v in direct.store.values())
-        assert n_full == 2 * g.m
-        assert n_direct == g.m  # each edge kept in exactly one direction
+        assert len(full.store.dst) == 2 * g.m
+        assert len(direct.store.dst) == g.m  # each edge kept in exactly one direction
 
     def test_edge_rank_sorted(self, spark):
         g = gen.chung_lu(40, 4, 2.2, seed=2)
         dht = build_sorted_adjacency(
             spark, g.to_spark(spark), RoundContext(model="ampc"), sort="edge_rank", seed=1
         )
-        for src, (nbrs, keys) in dht.store.items():
+        for src, nbrs, keys in _rows(dht.store):
             srcs = np.full(len(nbrs), src, dtype=np.int64)
             assert np.allclose(keys, edge_rank(srcs, nbrs, 1))
             assert np.all(np.diff(keys) >= 0)
@@ -75,7 +117,7 @@ class TestBuildSortedAdjacency:
             spark, g.to_spark(spark), RoundContext(model="ampc"), sort="weight"
         )
         wt = {(min(a, b), max(a, b)): w for a, b, w in zip(g.u(), g.v(), g.w())}
-        for src, (nbrs, keys) in dht.store.items():
+        for src, nbrs, keys in _rows(dht.store):
             assert np.all(np.diff(keys) >= 0)
             for y, k in zip(nbrs.tolist(), keys.tolist()):
                 assert wt[(min(src, y), max(src, y))] == pytest.approx(k)
@@ -102,8 +144,65 @@ class TestBuildSortedAdjacency:
         g = gen.chung_lu(30, 4, 2.2, seed=0)
         ctx = RoundContext(model="ampc")
         dht = build_sorted_adjacency(spark, g.to_spark(spark), ctx, sort="vertex_rank")
-        assert dht.payload_bytes > 0
+        rows = np.count_nonzero(np.diff(dht.store.indptr))
+        assert dht.payload_bytes == (2 * 2 * g.m + rows) * 8
         assert ctx.kv_bytes == dht.payload_bytes
+
+    def test_indptr_well_formed(self, spark):
+        g = gen.chung_lu(50, 5, 2.2, seed=4)
+        store = build_sorted_adjacency(
+            spark, g.to_spark(spark), RoundContext(model="ampc"), sort="edge_rank"
+        ).store
+        assert np.all(np.diff(store.indptr) >= 0)
+        assert store.indptr[0] == 0 and store.indptr[-1] == len(store.dst) == len(store.key)
+
+    def test_tied_keys_and_permuted_rows(self, spark):
+        """Ties in ``key`` break by ``dst``, so the arrays do not depend on
+        the order of the input rows; vertices without a kept neighbor and
+        ids past the end read as empty."""
+        built = []
+        for seed in (0, 1):
+            g = _star_tied(6, np.random.default_rng(seed).permutation(11))
+            built.append(
+                build_sorted_adjacency(
+                    spark, g.to_spark(spark), RoundContext(model="ampc"), sort="weight"
+                ).store
+            )
+        a, b = built
+        for name in ("indptr", "dst", "key"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert a.get(0)[0].tolist() == [1, 2, 3, 4, 5, 6]
+        assert a.get(3)[0].tolist() == [0, 2, 4]
+        for x in (7, 100):
+            assert len(a.get(x)[0]) == 0
+        direct = build_sorted_adjacency(
+            spark,
+            _star_tied(6, np.arange(11)).to_spark(spark),
+            RoundContext(model="ampc"),
+            direct=True,
+        ).store
+        ranks = hash01(np.arange(7), 0)
+        first = int(ranks.argmin())  # no neighbor precedes it in π
+        assert len(direct.get(first)[0]) == 0
+
+    def test_one_exchange_in_plan(self, spark, monkeypatch):
+        """The logical shuffle is the only Exchange Spark executes."""
+        built = []
+
+        def spy(*args):
+            built.append(exchange(*args))
+            return built[-1]
+
+        exchange = dht_mod._flat_exchange
+        monkeypatch.setattr(dht_mod, "_flat_exchange", spy)
+        g = gen.chung_lu(50, 5, 2.2, seed=0)
+        ctx = RoundContext(model="ampc")
+        build_sorted_adjacency(spark, g.to_spark(spark), ctx, sort="edge_rank")
+        plan = built[0]._jdf.queryExecution().executedPlan().toString()
+        final = plan.split("== Initial Plan ==")[0]
+        exchanges = re.findall(r"(?<![A-Za-z])Exchange (\w+)\((\w+)#", final)
+        assert exchanges == [("hashpartitioning", "src")]
+        assert ctx.shuffles == 1
 
 
 class TestCycleStore:

@@ -6,7 +6,7 @@ from repro import reference as ref
 from repro.core.msf import _prim_search
 from repro.core.ternarize import msf_via_ternarization, ternarize
 from repro.core.treap import build_ternary_treap
-from repro.ampc.dht import Meter
+from repro.ampc.dht import CSRStore, Meter
 from repro.graphs import generators as gen
 from repro.hashing import hash01
 
@@ -199,17 +199,7 @@ class TestTernaryTreap:
         from repro.hashing import edge_rank
 
         w = edge_rank(tu, tv, seed)
-        store = {}
-        for a, b, ww in zip(tu.tolist(), tv.tolist(), w.tolist()):
-            store.setdefault(a, []).append((ww, b))
-            store.setdefault(b, []).append((ww, a))
-        store = {
-            k: (
-                np.array([y for _, y in sorted(vs)], dtype=np.int64),
-                np.array([x for x, _ in sorted(vs)], dtype=np.float64),
-            )
-            for k, vs in store.items()
-        }
+        store = CSRStore.from_rows(np.r_[tu, tv], np.r_[tv, tu], np.r_[w, w])
         ranks_of = lambda x: float(ranks[x])  # noqa: E731
         for v in range(0, n, 5):
             meter = Meter()
