@@ -26,6 +26,7 @@ from pyspark.sql.types import LongType, StructField, StructType
 from repro.ampc.dht import build_cycle_store
 from repro.graphs.generators import GraphData
 from repro.hashing import hash01, splitmix64
+from repro.mpc import DEFAULT_CUTOFF_EDGES
 from repro.reference import UnionFind
 from repro.runtime import RoundContext
 
@@ -113,7 +114,7 @@ def mpc_cycle_cc(
     g: GraphData,
     *,
     seed: int = 0,
-    cutoff_edges: int = 2_000,
+    cutoff_edges: int = DEFAULT_CUTOFF_EDGES,
     ctx: RoundContext | None = None,
     max_phases: int = 100,
 ) -> CycleResult:

@@ -18,8 +18,8 @@ their outputs are identical to each other and to
 - :func:`mpc_maximal_matching` — rootset baseline (§5.4): per phase,
   every vertex nominates its min-rank incident edge; edges nominated by
   both endpoints join the matching; matched vertices and their edges
-  are removed. 3 logical shuffles per phase (nominate-pair, mark,
-  update), in-memory finish below the cutoff.
+  are removed. 4 logical shuffles per phase (nominate, pair, drop
+  matched u, drop matched v), in-memory finish below the cutoff.
 """
 from __future__ import annotations
 

@@ -1,7 +1,10 @@
 """Minimum Spanning Forest (§3, §5.5).
 
-Edge weights are distinct (generator guarantees), so the MSF is unique
-and both implementations must produce *exactly* the Kruskal edge set.
+Edges are compared in one strict total order, ``(w, min(u,v), max(u,v))``
+— the order :func:`repro.reference.kruskal_msf` scans — in the Prim
+heap, the Borůvka minimum and the in-memory finishes. The MSF under
+that order is unique even when weights tie, so both implementations
+must produce *exactly* the Kruskal edge set.
 
 - :func:`ampc_msf` — the paper's implementation (§5.5) of the
   constant-round algorithm: (1) one shuffle sorts each vertex's
@@ -40,7 +43,7 @@ from repro.ampc.dht import CSRStore, Meter, build_sorted_adjacency
 from repro.graphs.generators import GraphData
 from repro.hashing import coin, hash01
 from repro.mpc import DEFAULT_CUTOFF_EDGES
-from repro.reference import kruskal_msf
+from repro.reference import UnionFind
 from repro.runtime import RoundContext
 
 
@@ -52,6 +55,23 @@ class MSFResult:
     def total_weight(self, g: GraphData) -> float:
         wt = {(int(a), int(b)): float(x) for a, b, x in zip(g.u(), g.v(), g.w())}
         return sum(wt[e] for e in self.edges)
+
+
+def _kruskal_contracted(
+    cu: np.ndarray, cv: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray
+) -> set[tuple[int, int]]:
+    """In-memory finish: Kruskal over the contracted endpoints ``cu``/``cv``,
+    scanning rows in the ``(w, u, v)`` order of their *original* edges
+    and returning the original edges it keeps."""
+    labels, comp = np.unique(np.concatenate([cu, cv]), return_inverse=True)
+    k = len(cu)
+    uf = UnionFind(len(labels))
+    out: set[tuple[int, int]] = set()
+    for i in np.lexsort((v, u, w)).tolist():
+        if uf.union(int(comp[i]), int(comp[k + i])):
+            a, b = int(u[i]), int(v[i])
+            out.add((min(a, b), max(a, b)))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -88,13 +108,16 @@ def _prim_search(
     visited = {v}
     msf_edges: list[tuple[int, int, float]] = []
     visits: list[tuple[int, int]] = []
-    heap: list[tuple[float, int, int]] = []
+    # Entries (w, min, max, frm, to): every search breaks weight ties the
+    # same way, so the union of their edges stays inside one forest.
+    heap: list[tuple[float, int, int, int, int]] = []
     meter.lookup(words=2)
     nbrs, ws = store.get(v)
     for y, w in zip(nbrs.tolist(), ws.tolist()):
-        heapq.heappush(heap, (float(w), v, int(y)))
+        y = int(y)
+        heapq.heappush(heap, (float(w), min(v, y), max(v, y), v, y))
     while heap:
-        w, frm, to = heapq.heappop(heap)
+        w, _, _, frm, to = heapq.heappop(heap)
         if to in visited:
             continue
         # (w, frm, to) is the minimum-weight edge leaving the connected
@@ -111,8 +134,9 @@ def _prim_search(
         meter.lookup(words=2)
         tn, tw = store.get(to)
         for y, w2 in zip(tn.tolist(), tw.tolist()):
-            if int(y) not in visited:
-                heapq.heappush(heap, (float(w2), to, int(y)))
+            y = int(y)
+            if y not in visited:
+                heapq.heappush(heap, (float(w2), min(to, y), max(to, y), to, y))
     return msf_edges, visits  # stopping condition (2): component exhausted
 
 
@@ -252,18 +276,10 @@ def ampc_msf(
         pd.unique(pd.concat([cpdf["a"], cpdf["b"]])).size
     )
 
-    if len(cpdf):
-        # Relabel contracted vertex ids to a dense range for Kruskal.
-        labels = pd.unique(pd.concat([cpdf["a"], cpdf["b"]]))
-        lut = {int(c): i for i, c in enumerate(labels)}
-        ca = cpdf["a"].map(lut).to_numpy()
-        cb = cpdf["b"].map(lut).to_numpy()
-        chosen = kruskal_msf(len(labels), ca, cb, cpdf["w"].to_numpy())
-        idx = {(int(a), int(b)): i for i, (a, b) in enumerate(zip(ca, cb))}
-        for a, b in chosen:
-            i = idx[(a, b)]
-            uu, vv = int(cpdf["u"].iloc[i]), int(cpdf["v"].iloc[i])
-            msf_edges.add((min(uu, vv), max(uu, vv)))
+    msf_edges |= _kruskal_contracted(
+        cpdf["a"].to_numpy(), cpdf["b"].to_numpy(),
+        cpdf["u"].to_numpy(), cpdf["v"].to_numpy(), cpdf["w"].to_numpy(),
+    )
 
     bc.unpersist()
     bc_parent.unpersist()
@@ -318,7 +334,7 @@ def mpc_msf(
                 F.col("cv").alias("c"), F.col("cu").alias("other"), "w", "u", "v"
             )
         )
-        best = sym.groupBy("c").agg(F.min(F.struct("w", "other", "u", "v")).alias("e"))
+        best = sym.groupBy("c").agg(F.min(F.struct("w", "u", "v", "other")).alias("e"))
         ctx.shuffle(1)
         bp = best.toPandas()
         comps = bp["c"].to_numpy()
@@ -363,22 +379,8 @@ def mpc_msf(
 
     # In-memory finish on the contracted residual.
     rest = edges.select("u", "v", "w", "cu", "cv").toPandas()
-    if len(rest):
-        labels = pd.unique(pd.concat([rest["cu"], rest["cv"]]))
-        lut = {int(c): i for i, c in enumerate(labels)}
-        ca = rest["cu"].map(lut).to_numpy()
-        cb = rest["cv"].map(lut).to_numpy()
-        lo = np.minimum(ca, cb)
-        hi = np.maximum(ca, cb)
-        chosen = kruskal_msf(len(labels), lo, hi, rest["w"].to_numpy())
-        # kruskal_msf dedupes by (component pair); map each chosen pair
-        # back to the *minimum-weight* original edge achieving it.
-        order = np.argsort(rest["w"].to_numpy(), kind="stable")
-        seen: set[tuple[int, int]] = set()
-        for i in order.tolist():
-            key = (int(lo[i]), int(hi[i]))
-            if key in chosen and key not in seen:
-                seen.add(key)
-                uu, vv = int(rest["u"].iloc[i]), int(rest["v"].iloc[i])
-                msf_edges.add((min(uu, vv), max(uu, vv)))
+    msf_edges |= _kruskal_contracted(
+        rest["cu"].to_numpy(), rest["cv"].to_numpy(),
+        rest["u"].to_numpy(), rest["v"].to_numpy(), rest["w"].to_numpy(),
+    )
     return MSFResult(edges=msf_edges, ctx=ctx)

@@ -1,12 +1,19 @@
-"""Harnesses that regenerate the paper's evaluation tables (DESIGN.md §4).
+"""The one experiment harness: runs and gates the paper's Tables 2–4
+(DESIGN.md §4).
 
-Each ``tableN_rows`` function runs the experiment and returns printable
-row dicts; ``format_table`` renders them; the ``jobs/`` entrypoints and
-``benchmarks/`` wrap these. Results are also dumped to
-``results/tableN.json`` by the jobs for EXPERIMENTS.md.
+Each ``tableN_rows`` function runs one experiment and returns printable
+row dicts, ``format_table`` renders them and :func:`gates` checks them
+against the paper's claims. ``python -m repro.tables [2] [3] [4]`` runs
+the named tables (all three by default), writes
+``results/tableN.json`` (and ``results/table3_timings.json``), prints
+each table and exits non-zero if any gate fails.
 """
 from __future__ import annotations
 
+import json
+import os
+import pathlib
+import sys
 import time
 
 from pyspark.sql import SparkSession
@@ -22,6 +29,22 @@ from repro.mpc import DEFAULT_CUTOFF_EDGES
 from repro.runtime import RoundContext
 
 DATASET_NAMES = ("OK", "TW", "FS", "CW", "HL")
+RESULTS_DIR = pathlib.Path(__file__).resolve().parents[2] / "results"
+
+MIS, MM, MSF = "Maximal Independent Set", "Maximal Matching", "Minimum Spanning Forest"
+
+#: The six Table 3 implementations; row labels are ``f"{model} {problem}"``.
+ALGORITHMS = {
+    ("AMPC", MIS): ampc_mis,
+    ("AMPC", MM): ampc_maximal_matching,
+    ("AMPC", MSF): ampc_msf,
+    ("MPC", MIS): mpc_mis,
+    ("MPC", MM): mpc_maximal_matching,
+    ("MPC", MSF): mpc_msf,
+}
+
+#: Table 3's headline: AMPC shuffles are these constants on every graph.
+AMPC_SHUFFLES = {MIS: 1, MM: 1, MSF: 5}
 
 
 def format_table(rows: list[dict]) -> str:
@@ -46,6 +69,25 @@ def warmup(spark: SparkSession) -> None:
     ampc_mis(spark, g, seed=0)
     mpc_mis(spark, g, seed=0, cutoff_edges=0)
     ampc_one_vs_two_cycle(spark, gen.cycle_graph(64, two=True), p=1 / 4, seed=0)
+
+
+def _timed(fn, spark: SparkSession, g, model: str, **kw):
+    """``(result, ctx, wall seconds)`` of one call of ``fn`` on ``g``."""
+    ctx = RoundContext(model=model.lower())
+    t0 = time.perf_counter()
+    res = fn(spark, g, ctx=ctx, **kw)
+    return res, ctx, time.perf_counter() - t0
+
+
+def run_algorithm(
+    spark: SparkSession, model: str, problem: str, g, *, seed: int, cutoff: int
+):
+    """One timed call of ``ALGORITHMS[model, problem]``: MSF inputs get
+    §5.2's degree weights and every MPC call gets the in-memory cutoff."""
+    if problem == MSF:
+        g = gen.with_degree_weights(g)
+    kw = {"cutoff_edges": cutoff} if model == "MPC" else {}
+    return _timed(ALGORITHMS[model, problem], spark, g, model, seed=seed, **kw)
 
 
 # --------------------------------------------------------------------------
@@ -76,47 +118,6 @@ def table2_rows(
 # Table 3: number of shuffles
 # --------------------------------------------------------------------------
 
-_TABLE3_ALGOS = (
-    ("AMPC Maximal Independent Set", "ampc", "mis"),
-    ("AMPC Maximal Matching", "ampc", "mm"),
-    ("AMPC Minimum Spanning Forest", "ampc", "msf"),
-    ("MPC Maximal Independent Set", "mpc", "mis"),
-    ("MPC Maximal Matching", "mpc", "mm"),
-    ("MPC Minimum Spanning Forest", "mpc", "msf"),
-)
-
-
-def _run_algo(spark, model: str, prob: str, g, seed: int, cutoff: int):
-    ctx = RoundContext(model=model)
-    t0 = time.perf_counter()
-    if prob == "mis":
-        fn = ampc_mis if model == "ampc" else mpc_mis
-        res = (
-            fn(spark, g, seed=seed, ctx=ctx)
-            if model == "ampc"
-            else fn(spark, g, seed=seed, ctx=ctx, cutoff_edges=cutoff)
-        )
-    elif prob == "mm":
-        fn = ampc_maximal_matching if model == "ampc" else mpc_maximal_matching
-        res = (
-            fn(spark, g, seed=seed, ctx=ctx)
-            if model == "ampc"
-            else fn(spark, g, seed=seed, ctx=ctx, cutoff_edges=cutoff)
-        )
-    elif prob == "msf":
-        gw = gen.with_degree_weights(g)
-        fn = ampc_msf if model == "ampc" else mpc_msf
-        res = (
-            fn(spark, gw, seed=seed, ctx=ctx)
-            if model == "ampc"
-            else fn(spark, gw, seed=seed, ctx=ctx, cutoff_edges=cutoff)
-        )
-    else:  # pragma: no cover
-        raise ValueError(prob)
-    wall = time.perf_counter() - t0
-    return res, ctx, wall
-
-
 def table3_rows(
     spark: SparkSession,
     *,
@@ -128,16 +129,18 @@ def table3_rows(
     """Shuffle counts for the six implementations on every dataset.
 
     ``collect_timings`` (optional dict) additionally receives
-    ``(algorithm, dataset) -> {wall, queries, phases}`` — reused by
-    Table 4 so the expensive runs happen once.
+    ``(algorithm, dataset) -> {wall, queries, phases, shuffles}``.
     """
     warmup(spark)
     graphs = {name: gen.dataset(name, seed) for name in datasets}
     rows = []
-    for label, model, prob in _TABLE3_ALGOS:
+    for model, problem in ALGORITHMS:
+        label = f"{model} {problem}"
         row = {"Algorithm": label}
         for name in datasets:
-            _, ctx, wall = _run_algo(spark, model, prob, graphs[name], seed, cutoff)
+            _, ctx, wall = run_algorithm(
+                spark, model, problem, graphs[name], seed=seed, cutoff=cutoff
+            )
             row[name] = ctx.shuffles
             if collect_timings is not None:
                 collect_timings[(label, name)] = {
@@ -168,12 +171,10 @@ def table4_rows(
     cycle_sizes=("2e4", "2e5", "2e6"),
     mis_datasets=DATASET_NAMES,
     cutoff: int = DEFAULT_CUTOFF_EDGES,
-    mis_timings: dict | None = None,
 ) -> list[dict]:
     """Normalized modeled running times, matching Table 4's layout:
     rows {2-Cyc., MIS} × {RDMA, TCP/IP, MPC}; each column normalized to
-    its AMPC-RDMA entry. ``mis_timings`` can reuse Table 3 measurements
-    (same algorithms and inputs) instead of re-running."""
+    its AMPC-RDMA entry, followed by the same rows in seconds."""
     warmup(spark)
     raw: dict[str, dict[str, float]] = {
         "2-Cyc. (RDMA)": {},
@@ -187,38 +188,27 @@ def table4_rows(
     for label in cycle_sizes:
         n = gen.CYCLE_SIZES[label]
         g = gen.cycle_graph(n, two=True, name=label)
-        ctx = RoundContext(model="ampc")
-        t0 = time.perf_counter()
-        res = ampc_one_vs_two_cycle(spark, g, p=_cycle_p(n), seed=seed, ctx=ctx)
-        wall = time.perf_counter() - t0
-        assert res.n_components == 2
+        res, ctx, wall = _timed(
+            ampc_one_vs_two_cycle, spark, g, "AMPC", p=_cycle_p(n), seed=seed
+        )
+        res2, _, wall_m = _timed(
+            mpc_cycle_cc, spark, g, "MPC", seed=seed, cutoff_edges=cutoff
+        )
+        if (res.n_components, res2.n_components) != (2, 2):
+            raise RuntimeError(
+                f"1-vs-2-Cycle on {label}: AMPC found {res.n_components} and "
+                f"MPC {res2.n_components} components, expected 2"
+            )
         raw["2-Cyc. (RDMA)"][label] = modeled_time(wall, ctx.queries, "rdma")
         raw["2-Cyc. (TCP/IP)"][label] = modeled_time(wall, ctx.queries, "tcp")
-        ctx2 = RoundContext(model="mpc")
-        t0 = time.perf_counter()
-        res2 = mpc_cycle_cc(spark, g, seed=seed, ctx=ctx2, cutoff_edges=cutoff)
-        raw["MPC 2-Cyc."][label] = time.perf_counter() - t0
-        assert res2.n_components == 2
+        raw["MPC 2-Cyc."][label] = wall_m
 
     for name in mis_datasets:
         g = gen.dataset(name, seed)
-        key_a = ("AMPC Maximal Independent Set", name)
-        key_m = ("MPC Maximal Independent Set", name)
-        if mis_timings and key_a in mis_timings and key_m in mis_timings:
-            wall_a = mis_timings[key_a]["wall"]
-            queries = mis_timings[key_a]["queries"]
-            wall_m = mis_timings[key_m]["wall"]
-        else:
-            ctx = RoundContext(model="ampc")
-            t0 = time.perf_counter()
-            ampc_mis(spark, g, seed=seed, ctx=ctx)
-            wall_a = time.perf_counter() - t0
-            queries = ctx.queries
-            t0 = time.perf_counter()
-            mpc_mis(spark, g, seed=seed, cutoff_edges=cutoff)
-            wall_m = time.perf_counter() - t0
-        raw["MIS (RDMA)"][name] = modeled_time(wall_a, queries, "rdma")
-        raw["MIS (TCP/IP)"][name] = modeled_time(wall_a, queries, "tcp")
+        _, ctx, wall_a = run_algorithm(spark, "AMPC", MIS, g, seed=seed, cutoff=cutoff)
+        _, _, wall_m = run_algorithm(spark, "MPC", MIS, g, seed=seed, cutoff=cutoff)
+        raw["MIS (RDMA)"][name] = modeled_time(wall_a, ctx.queries, "rdma")
+        raw["MIS (TCP/IP)"][name] = modeled_time(wall_a, ctx.queries, "tcp")
         raw["MPC MIS"][name] = wall_m
 
     # Normalize each column to its RDMA row, like the paper.
@@ -236,3 +226,132 @@ def table4_rows(
             | {c: round(t, 2) for c, t in raw[label].items()}
         )
     return rows
+
+
+# --------------------------------------------------------------------------
+# Gates: the paper's claims each table must show
+# --------------------------------------------------------------------------
+
+def _gate_table2(rows: list[dict]) -> list[str]:
+    names = [r.get("Dataset") for r in rows]
+    if names != ["2 x k", *DATASET_NAMES]:
+        return [f"datasets {names}, expected {['2 x k', *DATASET_NAMES]}"]
+    n_cc = rows[-1].get("Num. CC")
+    if not (isinstance(n_cc, int) and n_cc > 100):  # paper: 144.6M
+        return [f"HL has {n_cc} components, expected > 100"]
+    return []
+
+
+def _gate_table3(rows: list[dict]) -> list[str]:
+    by_label = {r.get("Algorithm"): r for r in rows}
+    out = []
+    for model, problem in ALGORITHMS:
+        label, ampc = f"{model} {problem}", AMPC_SHUFFLES[problem]
+        row = by_label.get(label, {})
+        for name in DATASET_NAMES:
+            got = row.get(name)
+            if got is None:
+                out.append(f"{label} on {name}: missing")
+            elif model == "AMPC" and got != ampc:
+                out.append(f"{label} on {name}: {got} shuffles, expected {ampc}")
+            elif model == "MPC" and got <= ampc:
+                out.append(f"{label} on {name}: {got} shuffles, not above AMPC's {ampc}")
+    return out
+
+
+def _gate_table4(rows: list[dict]) -> list[str]:
+    by_label = {r.get("Algorithm"): r for r in rows}
+    out = []
+    for prefix, mpc_label, cols in (
+        ("2-Cyc.", "MPC 2-Cyc.", gen.CYCLE_SIZES),
+        ("MIS", "MPC MIS", DATASET_NAMES),
+    ):
+        labels = [
+            f"{label} [seconds]"
+            for label in (f"{prefix} (RDMA)", f"{prefix} (TCP/IP)", mpc_label)
+        ]
+        for col in cols:
+            rdma, tcp, mpc = (by_label.get(label, {}).get(col) for label in labels)
+            if None in (rdma, tcp, mpc):
+                out.append(f"{prefix} {col}: missing from {labels}")
+                continue
+            if not tcp >= rdma:
+                out.append(f"{prefix} {col}: TCP/IP {tcp} s below RDMA {rdma} s")
+            if not mpc > rdma:
+                out.append(f"{prefix} {col}: MPC {mpc} s not above RDMA {rdma} s")
+            if prefix == "2-Cyc." and not tcp <= 5 * mpc:
+                out.append(f"{prefix} {col}: TCP/IP {tcp} s above 5 x MPC {mpc} s")
+    return out
+
+
+_GATES = {2: _gate_table2, 3: _gate_table3, 4: _gate_table4}
+
+
+def gates(table: int, rows: list[dict]) -> list[str]:
+    """Every claim ``rows`` of Table ``table`` fails, one message each;
+    empty when the table shows what the paper reports:
+
+    - Table 2: the 2×k row then OK…HL; HL has more than 100 components.
+    - Table 3: AMPC MIS/MM/MSF use exactly 1/1/5 shuffles on every
+      dataset and each MPC implementation uses more than its AMPC one.
+    - Table 4: per column TCP/IP ≥ RDMA and MPC > RDMA; for 1-vs-2-Cycle
+      also TCP/IP ≤ 5·MPC (model sanity). Checked on the seconds rows.
+    """
+    return [f"table {table}: {msg}" for msg in _GATES[table](rows)]
+
+
+# --------------------------------------------------------------------------
+# Command line
+# --------------------------------------------------------------------------
+
+def _session() -> SparkSession:
+    """Local session with the test suite's configuration (conftest.py)."""
+    os.environ.setdefault(
+        "PYSPARK_SUBMIT_ARGS",
+        f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
+        f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '8g')} "
+        "--conf spark.driver.host=127.0.0.1 "
+        "--conf spark.ui.enabled=false pyspark-shell",
+    )
+    return (
+        SparkSession.builder.appName("repro-tables")
+        .config("spark.sql.shuffle.partitions", "64")
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .getOrCreate()
+    )
+
+
+def _dump(name: str, obj) -> None:
+    RESULTS_DIR.mkdir(exist_ok=True)
+    (RESULTS_DIR / f"{name}.json").write_text(json.dumps(obj, indent=2, default=str))
+
+
+def main(argv: list[str]) -> int:
+    """``python -m repro.tables [2] [3] [4]``; no argument runs all three."""
+    if not set(argv) <= {"2", "3", "4"}:
+        print("usage: python -m repro.tables [2] [3] [4]", file=sys.stderr)
+        return 2
+    tables = sorted({int(a) for a in argv} or _GATES)
+    spark = _session()
+    failed: list[str] = []
+    try:
+        for table in tables:
+            if table == 3:
+                timings: dict = {}
+                rows = table3_rows(spark, collect_timings=timings)
+                _dump("table3_timings", {f"{a}|{d}": v for (a, d), v in timings.items()})
+            else:
+                rows = (table2_rows if table == 2 else table4_rows)(spark)
+            _dump(f"table{table}", rows)
+            print(f"\nTable {table}\n{format_table(rows)}")
+            msgs = gates(table, rows)
+            print("\n".join(f"GATE FAILED {m}" for m in msgs) or f"table {table}: gates pass")
+            failed += msgs
+    finally:
+        spark.stop()
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

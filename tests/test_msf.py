@@ -1,7 +1,8 @@
 """MSF: AMPC (truncated Prim, 5 shuffles) and MPC (Borůvka) vs Kruskal.
 
-Weights are distinct, so the MSF is unique and tests assert exact
-edge-set equality.
+Both implementations break weight ties by (w, u, v), the order Kruskal
+scans, so the MSF is unique and tests assert exact edge-set equality,
+with distinct and with tied weights.
 """
 import numpy as np
 import pandas as pd
@@ -52,6 +53,27 @@ def test_ampc_msf_equals_kruskal(spark, name, g, seed):
 def test_mpc_msf_equals_kruskal(spark, name, g):
     got = mpc_msf(spark, g, seed=0, cutoff_edges=0).edges
     assert got == _kruskal(g)
+
+
+def _tied(seed):
+    """Chung–Lu graph with weights drawn from {1, 2, 3}: most weights tie."""
+    g = gen.chung_lu(300, 6, 2.2, seed=seed)
+    w = np.random.default_rng(seed).integers(1, 4, g.m).astype(np.float64)
+    return gen.GraphData(n=g.n, edges=g.edges.assign(w=w), name="tied")
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda spark, g: ampc_msf(spark, g, seed=0),
+        lambda spark, g: mpc_msf(spark, g, seed=0, cutoff_edges=200),
+    ],
+    ids=["ampc", "mpc"],
+)
+def test_msf_tied_weights_equals_kruskal(spark, run, seed):
+    g = _tied(seed)
+    assert run(spark, g).edges == _kruskal(g)
 
 
 @pytest.mark.parametrize("budget", [2, 4, 1000])

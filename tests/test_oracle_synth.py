@@ -1,84 +1,57 @@
-"""Provided plumbing: TPC-H-lite generators + the DuckDB oracle."""
-import pandas as pd
+"""The DuckDB oracle (``repro.oracle.assert_equivalent``) on graph edge
+tables from ``repro.graphs.generators``."""
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data
+from repro.graphs import generators as gen
 from repro.oracle import assert_equivalent
 
-
-class TestSynthData:
-    def test_lineitem_shape(self, spark):
-        df = synth_data.lineitem(spark, sf=0.001)
-        assert df.count() == 6000
-        assert "l_orderkey" in df.columns
-
-    def test_orders_deterministic(self, spark):
-        a = synth_data.orders(spark, sf=0.001).toPandas()
-        b = synth_data.orders(spark, sf=0.001).toPandas()
-        pd.testing.assert_frame_equal(a, b)
-
-    def test_zipf_skew(self, spark):
-        df = synth_data.zipf_keys(spark, n=20_000, n_keys=1000, alpha=1.5)
-        top = (
-            df.groupBy("k").count().orderBy(F.desc("count")).limit(1).collect()[0]
-        )
-        assert top["count"] > 20_000 / 1000 * 5  # head far above uniform share
-
-    def test_uniform_keys_range(self, spark):
-        df = synth_data.uniform_keys(spark, n=5000, n_keys=50).toPandas()
-        assert df["k"].min() >= 1 and df["k"].max() <= 50
+G = gen.with_degree_weights(gen.chung_lu(500, 6, 2.2, seed=0))
 
 
 class TestOracle:
     def test_passes_on_equal(self, spark):
-        li = synth_data.lineitem(spark, sf=0.001)
-        got = li.groupBy("l_returnflag").agg(
-            F.count(F.lit(1)).alias("cnt"), F.sum("l_quantity").alias("qty")
-        )
+        e = G.to_spark(spark)
+        got = e.groupBy("u").agg(F.count(F.lit(1)).alias("cnt"), F.sum("w").alias("wsum"))
         assert_equivalent(
             got,
-            "SELECT l_returnflag, count(*) AS cnt, sum(l_quantity) AS qty "
-            "FROM lineitem GROUP BY l_returnflag",
-            lineitem=li,
+            "SELECT u, count(*) AS cnt, sum(w) AS wsum FROM edges GROUP BY u",
+            edges=e,
         )
 
     def test_catches_wrong_aggregate(self, spark):
-        li = synth_data.lineitem(spark, sf=0.001)
-        wrong = li.groupBy("l_returnflag").agg(
-            (F.count(F.lit(1)) + 1).alias("cnt")
-        )
+        e = G.to_spark(spark)
+        wrong = e.groupBy("u").agg((F.count(F.lit(1)) + 1).alias("cnt"))
         with pytest.raises(AssertionError):
             assert_equivalent(
-                wrong,
-                "SELECT l_returnflag, count(*) AS cnt FROM lineitem GROUP BY l_returnflag",
-                lineitem=li,
+                wrong, "SELECT u, count(*) AS cnt FROM edges GROUP BY u", edges=e
             )
 
     def test_catches_column_mismatch(self, spark):
-        li = synth_data.lineitem(spark, sf=0.001)
-        got = li.agg(F.count(F.lit(1)).alias("n_rows"))
+        e = G.to_spark(spark)
+        got = e.agg(F.count(F.lit(1)).alias("n_rows"))
         with pytest.raises(AssertionError, match="column mismatch"):
-            assert_equivalent(got, "SELECT count(*) AS other FROM lineitem", lineitem=li)
+            assert_equivalent(got, "SELECT count(*) AS other FROM edges", edges=e)
 
     def test_join_equivalence_on_shuffle_path(self, spark):
-        """Joins run on the shuffle path (broadcast disabled in fixture)."""
-        li = synth_data.lineitem(spark, sf=0.001)
-        o = synth_data.orders(spark, sf=0.001)
+        """Joins run on the shuffle path (broadcast disabled in fixture):
+        count the 2-paths u -> v -> x leaving each vertex."""
+        e = G.to_spark(spark)
+        a, b = e.alias("a"), e.alias("b")
         got = (
-            li.join(o, li["l_orderkey"] == o["o_orderkey"])
-            .groupBy("o_orderpriority")
+            a.join(b, F.col("a.v") == F.col("b.u"))
+            .groupBy(F.col("a.u").alias("u"))
             .agg(F.count(F.lit(1)).alias("cnt"))
         )
         assert_equivalent(
             got,
-            "SELECT o_orderpriority, count(*) AS cnt FROM lineitem "
-            "JOIN orders ON l_orderkey = o_orderkey GROUP BY o_orderpriority",
-            lineitem=li,
-            orders=o,
+            "SELECT a.u AS u, count(*) AS cnt FROM edges a "
+            "JOIN edges b ON a.v = b.u GROUP BY a.u",
+            edges=e,
         )
 
     def test_accepts_pandas_tables(self, spark):
-        pdf = pd.DataFrame({"k": [1, 1, 2], "v": [1.0, 2.0, 3.0]})
-        got = spark.createDataFrame(pdf).groupBy("k").agg(F.sum("v").alias("s"))
-        assert_equivalent(got, "SELECT k, sum(v) AS s FROM t GROUP BY k", t=pdf)
+        got = G.to_spark(spark).groupBy("v").agg(F.sum("w").alias("s"))
+        assert_equivalent(
+            got, "SELECT v, sum(w) AS s FROM edges GROUP BY v", edges=G.edges
+        )

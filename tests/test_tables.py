@@ -1,12 +1,22 @@
-"""Table harnesses: structure + the paper's headline round-complexity
-claims (Table 1/3: AMPC rounds are constant, MPC rounds grow)."""
-import numpy as np
+"""Table harnesses: structure, the gates on the committed results and
+the paper's headline round-complexity claims (Table 1/3: AMPC rounds
+are constant, MPC rounds grow)."""
+import json
+
 import pytest
 
 from repro.core.mis import ampc_mis, mpc_mis
 from repro.graphs import generators as gen
 from repro.runtime import RoundContext
-from repro.tables import format_table, table2_rows, table3_rows, table4_rows
+from repro.tables import (
+    RESULTS_DIR,
+    format_table,
+    gates,
+    main,
+    table2_rows,
+    table3_rows,
+    table4_rows,
+)
 
 # A tiny dataset registry so harness tests stay fast.
 TINY = {
@@ -79,3 +89,54 @@ def test_format_table_renders():
     s = format_table(rows)
     assert "a" in s and "22" in s and "|" in s
     assert format_table([]) == "(empty)"
+
+
+def _committed(table):
+    return json.loads((RESULTS_DIR / f"table{table}.json").read_text())
+
+
+@pytest.mark.parametrize("table", [2, 3, 4])
+def test_gates_pass_on_committed_results(table):
+    assert gates(table, _committed(table)) == []
+
+
+def _set(rows, label, col, value):
+    key = "Dataset" if "Dataset" in rows[0] else "Algorithm"
+    next(r for r in rows if r[key] == label)[col] = value
+    return rows
+
+
+def _table4_mpc_at_rdma(col):
+    rows = _committed(4)
+    prefix, mpc = ("2-Cyc.", "MPC 2-Cyc.") if col.startswith("2e") else ("MIS", "MPC MIS")
+    rdma = next(r for r in rows if r["Algorithm"] == f"{prefix} (RDMA) [seconds]")[col]
+    return _set(rows, f"{mpc} [seconds]", col, rdma)
+
+
+DOCTORED = {
+    "hl_one_component": (2, lambda: _set(_committed(2), "HL", "Num. CC", 1)),
+    "dataset_missing": (2, lambda: _committed(2)[:-1]),
+    "ampc_mis_2": (3, lambda: _set(_committed(3), "AMPC Maximal Independent Set", "HL", 2)),
+    "mpc_msf_at_ampc": (3, lambda: _set(_committed(3), "MPC Minimum Spanning Forest", "OK", 5)),
+    "mpc_mm_below_ampc": (3, lambda: _set(_committed(3), "MPC Maximal Matching", "CW", 0)),
+    "row_missing": (3, lambda: _committed(3)[:-1]),
+    "mpc_mis_at_rdma": (4, lambda: _table4_mpc_at_rdma("CW")),
+    "mpc_cycle_at_rdma": (4, lambda: _table4_mpc_at_rdma("2e5")),
+    "tcp_below_rdma": (4, lambda: _set(_committed(4), "MIS (TCP/IP) [seconds]", "OK", 0.1)),
+    "tcp_above_5x_mpc": (
+        4, lambda: _set(_committed(4), "2-Cyc. (TCP/IP) [seconds]", "2e6", 10_000.0)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", DOCTORED)
+def test_gates_flag_doctored_results(case):
+    table, doctor = DOCTORED[case]
+    msgs = gates(table, doctor())
+    assert msgs and all(m.startswith(f"table {table}: ") for m in msgs)
+
+
+def test_cli_accepts_only_table_numbers(capsys):
+    assert main(["3", "--seed=1"]) == 2
+    assert main(["5"]) == 2
+    assert "usage" in capsys.readouterr().err
