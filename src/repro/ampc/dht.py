@@ -129,6 +129,8 @@ def _flat_exchange(edges: DataFrame, sort: str, direct: bool, seed: int) -> Data
     order within each row is left to :meth:`CSRStore.from_rows`."""
     if direct and sort != "vertex_rank":
         raise ValueError("direct=True only makes sense with vertex_rank sort")
+    if sort == "weight" and "w" not in edges.columns:
+        raise ValueError("sort='weight' needs a 'w' column")
     return _symmetric_with_key(edges, sort, direct, seed).repartition("src")
 
 

@@ -24,7 +24,7 @@ from pyspark.sql import functions as F
 from pyspark.sql.types import LongType, StructField, StructType
 
 from repro.ampc.dht import build_cycle_store
-from repro.graphs.generators import GraphData
+from repro.graphs.generators import GraphData, parallel_frame
 from repro.hashing import hash01, splitmix64
 from repro.mpc import DEFAULT_CUTOFF_EDGES
 from repro.reference import UnionFind
@@ -123,11 +123,13 @@ def mpc_cycle_cc(
     coin; each tail vertex adjacent to a head merges into its minimum
     head neighbor. 3 shuffles per iteration. Counts components of the
     collected residual (self-loops retained so fully-contracted cycles
-    stay visible)."""
+    stay visible). Raises ``ValueError`` on the driver unless every
+    vertex has degree 2, as the AMPC cycle store does."""
+    if (np.bincount(np.concatenate([g.u(), g.v()]), minlength=g.n) != 2).any():
+        raise ValueError("mpc_cycle_cc needs every vertex to have degree 2")
     ctx = ctx or RoundContext(model="mpc")
-    e0 = g.edges.copy()
-    edges = spark.createDataFrame(
-        pd.DataFrame({"cu": e0["u"], "cv": e0["v"]})
+    edges = parallel_frame(
+        spark, pd.DataFrame({"cu": g.u(), "cv": g.v()}), "cu long, cv long"
     ).localCheckpoint(eager=True)
 
     while True:
@@ -152,15 +154,16 @@ def mpc_cycle_cc(
 
         def pick_mate(batches):
             for pdf in batches:
-                rows = []
-                for c, nbrs in zip(pdf["c"].tolist(), pdf["nbrs"].tolist()):
-                    c = int(c)
-                    if _head(c, phase, seed):
-                        continue  # heads stay put
-                    heads = [int(x) for x in nbrs if _head(int(x), phase, seed)]
-                    if heads:
-                        rows.append((c, min(heads)))
-                yield pd.DataFrame(rows, columns=["old", "new"])
+                c = pdf["c"].to_numpy()
+                nbrs = pdf["nbrs"].tolist()
+                flat = np.concatenate(nbrs + [np.zeros(0, np.int64)])
+                owner = np.repeat(np.arange(len(c)), [len(x) for x in nbrs])
+                # Tails (heads stay put) merge into their minimum head neighbor.
+                cand = _heads(flat, phase, seed) & ~_heads(c, phase, seed)[owner]
+                mate = np.full(len(c), np.iinfo(np.int64).max)
+                np.minimum.at(mate, owner[cand], flat[cand])
+                has = mate < np.iinfo(np.int64).max
+                yield pd.DataFrame({"old": c[has], "new": mate[has]})
 
         mate_schema = StructType(
             [StructField("old", LongType()), StructField("new", LongType())]
@@ -205,5 +208,5 @@ def mpc_cycle_cc(
     return CycleResult(n_components=uf.n_components, ctx=ctx)
 
 
-def _head(x: int, phase: int, seed: int) -> bool:
-    return bool(splitmix64(np.array([x]), seed * 1009 + phase)[0] & np.uint64(1))
+def _heads(xs: np.ndarray, phase: int, seed: int) -> np.ndarray:
+    return (splitmix64(xs, seed * 1009 + phase) & np.uint64(1)).astype(bool)

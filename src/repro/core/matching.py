@@ -32,7 +32,7 @@ from pyspark.sql import functions as F
 from pyspark.sql.types import BooleanType, LongType, StructField, StructType
 
 from repro.ampc.dht import CSRStore, Meter, build_sorted_adjacency
-from repro.graphs.generators import GraphData
+from repro.graphs.generators import GraphData, parallel_frame
 from repro.hashing import edge_rank
 from repro.mpc import DEFAULT_CUTOFF_EDGES
 from repro.runtime import RoundContext
@@ -341,8 +341,8 @@ def mpc_maximal_matching(
     # Edge relation with rank; kept as a DataFrame across phases.
     e0 = g.edges.copy()
     e0["r"] = edge_rank(g.u(), g.v(), seed)
-    edges = spark.createDataFrame(
-        e0[["u", "v", "r"]], schema="u long, v long, r double"
+    edges = parallel_frame(
+        spark, e0[["u", "v", "r"]], "u long, v long, r double"
     ).localCheckpoint(eager=True)
 
     while True:

@@ -218,13 +218,21 @@ def mpc_mis(
 
     def find_roots(batches):
         for pdf in batches:
-            for x, nbrs in zip(pdf["id"].tolist(), pdf["nbrs"].tolist()):
-                nb = np.asarray(nbrs, dtype=np.int64)
-                rx = hash01(np.array([x]), seed)[0]
-                if len(nb) == 0 or rx < hash01(nb, seed).min():
-                    # root: remove itself and every neighbor
-                    out = np.concatenate(([x], nb))
-                    yield pd.DataFrame({"rm": out, "is_root": [True] + [False] * len(nb)})
+            ids = pdf["id"].to_numpy()
+            nbrs = pdf["nbrs"].tolist()
+            flat = np.concatenate(nbrs + [np.zeros(0, np.int64)])
+            owner = np.repeat(np.arange(len(ids)), [len(x) for x in nbrs])
+            nbr_min = np.full(len(ids), np.inf)
+            np.minimum.at(nbr_min, owner, hash01(flat, seed))
+            # Roots (local rank minima) remove themselves and every neighbor.
+            root = hash01(ids, seed) < nbr_min
+            nb_rows = root[owner]
+            yield pd.DataFrame(
+                {
+                    "rm": np.concatenate([ids[root], flat[nb_rows]]),
+                    "is_root": np.repeat([True, False], [root.sum(), nb_rows.sum()]),
+                }
+            )
 
     rm_schema = StructType(
         [StructField("rm", LongType()), StructField("is_root", BooleanType())]

@@ -40,7 +40,7 @@ from pyspark.sql import functions as F
 from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
 from repro.ampc.dht import CSRStore, Meter, build_sorted_adjacency
-from repro.graphs.generators import GraphData
+from repro.graphs.generators import GraphData, parallel_frame
 from repro.hashing import coin, hash01
 from repro.mpc import DEFAULT_CUTOFF_EDGES
 from repro.reference import UnionFind
@@ -164,14 +164,7 @@ def ampc_msf(
     def run_prim(batches):
         store = bc.value
         meter = Meter()
-        rank_cache: dict[int, float] = {}
-
-        def ranks_of(x: int) -> float:
-            r = rank_cache.get(x)
-            if r is None:
-                r = float(hash01(np.array([x]), seed)[0])
-                rank_cache[x] = r
-            return r
+        ranks_of = hash01(np.arange(n), seed).tolist().__getitem__
 
         out: list[tuple[int, int, int, float, int]] = []
         for pdf in batches:
@@ -313,8 +306,8 @@ def mpc_msf(
     e0 = g.edges.copy()
     e0["cu"] = e0["u"]
     e0["cv"] = e0["v"]
-    edges = spark.createDataFrame(
-        e0[["u", "v", "w", "cu", "cv"]], schema="u long, v long, w double, cu long, cv long"
+    edges = parallel_frame(
+        spark, e0[["u", "v", "w", "cu", "cv"]], "u long, v long, w double, cu long, cv long"
     ).localCheckpoint(eager=True)
 
     while True:

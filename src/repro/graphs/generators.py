@@ -12,6 +12,7 @@ no self-loops; everything deterministic in ``seed``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,7 +27,8 @@ class GraphData:
     """In-memory graph: canonical undirected edge list + vertex count.
 
     ``edges`` columns: ``u``, ``v`` (int64, u < v) and optionally ``w``
-    (float64, distinct weights) after :func:`with_degree_weights`.
+    (float64; ties allowed; MSF breaks them by ``(w, min(u,v), max(u,v))``),
+    e.g. from :func:`with_degree_weights`.
     """
 
     n: int
@@ -50,7 +52,39 @@ class GraphData:
     def to_spark(self, spark: SparkSession) -> DataFrame:
         cols = [c for c in ("u", "v", "w") if c in self.edges.columns]
         schema = ", ".join(f"{c} {'double' if c == 'w' else 'long'}" for c in cols)
-        return spark.createDataFrame(self.edges[cols], schema=schema)
+        return parallel_frame(spark, self.edges[cols], schema)
+
+
+_LOCAL_RELATION_THRESHOLD = "spark.sql.execution.arrow.localRelationThreshold"
+_MAX_RECORDS_PER_BATCH = "spark.sql.execution.arrow.maxRecordsPerBatch"
+
+
+def parallel_frame(spark: SparkSession, pdf: pd.DataFrame, schema: str) -> DataFrame:
+    """``pdf`` as an RDD-backed frame of ``defaultParallelism`` Arrow
+    partitions, for graph-sized edge tables.
+
+    Plain ``createDataFrame`` inlines any frame under the Arrow
+    local-relation threshold (48 MB) into the plan as a
+    ``LocalRelation``, which Spark re-analyses and ships inside task
+    closures in every plan that reads it. Here the threshold is 0 and
+    each Arrow batch, which becomes one partition, holds
+    ``ceil(rows / defaultParallelism)`` rows; both session confs are
+    restored afterwards. Small driver-made frames keep
+    ``createDataFrame`` (DESIGN.md §2, "Input").
+    """
+    per_batch = math.ceil(len(pdf) / spark.sparkContext.defaultParallelism)
+    scoped = {_LOCAL_RELATION_THRESHOLD: "0", _MAX_RECORDS_PER_BATCH: str(max(1, per_batch))}
+    saved = {key: spark.conf.get(key, None) for key in scoped}
+    try:
+        for key, value in scoped.items():
+            spark.conf.set(key, value)
+        return spark.createDataFrame(pdf, schema=schema)
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                spark.conf.unset(key)
+            else:
+                spark.conf.set(key, value)
 
 
 def _canonicalize(n: int, a: np.ndarray, b: np.ndarray) -> pd.DataFrame:

@@ -1,4 +1,6 @@
 """1-vs-2-Cycle: both models must distinguish the inputs exactly."""
+import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.cycle import ampc_one_vs_two_cycle, mpc_cycle_cc
@@ -67,3 +69,20 @@ def test_mpc_cycle_shrink_factor(spark):
     mpc_cycle_cc(spark, gen.cycle_graph(400, two=False), cutoff_edges=20, ctx=small)
     mpc_cycle_cc(spark, gen.cycle_graph(3200, two=False), cutoff_edges=20, ctx=big)
     assert big.phases > small.phases
+
+
+def _graph(n, u, v):
+    edges = pd.DataFrame({"u": np.array(u, dtype=np.int64), "v": np.array(v, dtype=np.int64)})
+    return gen.GraphData(n=n, edges=edges)
+
+
+NOT_2_REGULAR = [("edgeless", _graph(5, [], [])), ("path4", _graph(4, [0, 1, 2], [1, 2, 3]))]
+
+
+@pytest.mark.parametrize("algo", [ampc_one_vs_two_cycle, mpc_cycle_cc])
+@pytest.mark.parametrize("name,g", NOT_2_REGULAR, ids=[n for n, _ in NOT_2_REGULAR])
+def test_cycle_rejects_non_2_regular(spark, algo, name, g):
+    """Both models reject inputs that are not unions of cycles with the
+    same clear error (``match=``: PySpark errors also subclass ValueError)."""
+    with pytest.raises(ValueError, match="degree 2"):
+        algo(spark, g, seed=0)

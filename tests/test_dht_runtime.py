@@ -124,7 +124,7 @@ class TestBuildSortedAdjacency:
 
     def test_weight_sort_requires_w(self, spark):
         g = gen.chung_lu(20, 3, 2.2, seed=0)
-        with pytest.raises(Exception):
+        with pytest.raises(ValueError, match="needs a 'w' column"):
             build_sorted_adjacency(
                 spark, g.to_spark(spark), RoundContext(model="ampc"), sort="weight"
             )

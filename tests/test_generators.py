@@ -155,3 +155,55 @@ def test_degree_distribution_vs_duckdb_oracle(spark):
         """,
         edges=g.edges,
     )
+
+
+class TestParallelFrame:
+    """Graph-sized edge tables enter Spark as ``defaultParallelism``
+    Arrow partitions, never as a plan-inlined ``LocalRelation``."""
+
+    KEYS = (gen._LOCAL_RELATION_THRESHOLD, gen._MAX_RECORDS_PER_BATCH)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            gen.with_degree_weights(gen.chung_lu(300, 6, 2.2, seed=1)),
+            gen.GraphData(n=3, edges=pd.DataFrame({"u": [0, 1], "v": [1, 2]}, dtype=np.int64)),
+        ],
+        ids=["many_rows", "two_rows"],
+    )
+    def test_partitions_and_no_local_relation(self, spark, g):
+        df = g.to_spark(spark)
+        assert df.rdd.getNumPartitions() == min(spark.sparkContext.defaultParallelism, g.m)
+        assert "LocalRelation" not in df._jdf.queryExecution().analyzed().toString()
+
+    def test_rows_round_trip(self, spark):
+        g = gen.with_degree_weights(gen.chung_lu(200, 5, 2.2, seed=4))
+        got = g.to_spark(spark).toPandas().sort_values(["u", "v"], ignore_index=True)
+        pd.testing.assert_frame_equal(got, g.edges.sort_values(["u", "v"], ignore_index=True))
+        assert list(got.dtypes) == [np.int64, np.int64, np.float64]
+
+    def test_confs_restored_when_unset(self, spark):
+        for key in self.KEYS:
+            spark.conf.unset(key)
+        gen.parallel_frame(spark, pd.DataFrame({"u": [1, 2, 3]}), "u long")
+        assert [spark.conf.get(key, None) for key in self.KEYS] == [None, None]
+
+    def test_confs_restored_when_set(self, spark):
+        custom = {gen._LOCAL_RELATION_THRESHOLD: "1234", gen._MAX_RECORDS_PER_BATCH: "77"}
+        try:
+            for key, value in custom.items():
+                spark.conf.set(key, value)
+            gen.parallel_frame(spark, pd.DataFrame({"u": [1, 2, 3]}), "u long")
+            assert {key: spark.conf.get(key) for key in self.KEYS} == custom
+        finally:
+            for key in self.KEYS:
+                spark.conf.unset(key)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_edgeless_keeps_schema(self, spark, weighted):
+        none = np.empty(0, dtype=np.int64)
+        cols = {"u": none, "v": none} | ({"w": np.empty(0)} if weighted else {})
+        df = gen.GraphData(n=5, edges=pd.DataFrame(cols)).to_spark(spark)
+        want = [("u", "bigint"), ("v", "bigint")] + ([("w", "double")] if weighted else [])
+        assert df.dtypes == want
+        assert df.count() == 0

@@ -72,6 +72,21 @@ def test_ampc_matching_truncated_multiround(spark):
     assert ctx.phases >= 1  # may need several applications
 
 
+def test_edge_row_order_leaves_queries_unchanged(spark):
+    """Edge ingest never changes query semantics: the per-partition caches
+    follow the vertex frame, not the order of the edge rows."""
+    g = gen.chung_lu(500, 8, 2.2, seed=0)
+    runs = []
+    for perm_seed in (1, 2):
+        perm = np.random.default_rng(perm_seed).permutation(g.m)
+        shuffled = gen.GraphData(n=g.n, edges=g.edges.iloc[perm].reset_index(drop=True))
+        ctx = RoundContext(model="ampc")
+        edges = ampc_maximal_matching(spark, shuffled, seed=0, ctx=ctx).edges
+        runs.append((edges, ctx.queries, ctx.cache_hits, ctx.kv_bytes))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == ref.greedy_matching(g.n, g.u(), g.v(), 0)
+
+
 def test_ampc_matching_cache_reduces_queries(spark):
     g = gen.chung_lu(140, 8, 2.0, seed=2)
     on, off = RoundContext(model="ampc"), RoundContext(model="ampc")
