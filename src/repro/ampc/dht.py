@@ -6,13 +6,14 @@ edge-rank-sorted adjacency for matching, weight-sorted adjacency for
 MSF, successor lists for cycles) and *write it to the key-value store*;
 subsequent rounds make adaptive point lookups against it.
 
-Here the "write to the KV store" is: run that one shuffle in Spark (a
-flat ``repartition("src")`` exchange of ``(src, dst, key)`` rows),
-collect it as Arrow columns, sort it into a :class:`CSRStore` on the
-driver and ship its three arrays to executors with
-``sparkContext.broadcast``. Within the following ``mapInPandas`` round
-every task has random read access to every key — the defining AMPC
-capability — without any further shuffle.
+Here the "write to the KV store" is: key the ``(src, dst, key)`` rows
+on the driver with numpy, run that one shuffle in Spark (a flat
+``repartition("src")`` exchange, with no Python worker stage), collect
+it with ``toArrow``, sort it into a :class:`CSRStore` on the driver and
+ship its three arrays to executors with ``sparkContext.broadcast``.
+Within the following adaptive round every task has random read access
+to every key — the defining AMPC capability — without any further
+shuffle.
 
 Query metering is done caller-side (a ``Meter`` per partition, reported
 through output columns) so counts are exact and deterministic.
@@ -27,6 +28,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from repro.graphs.generators import GraphData, parallel_frame
 from repro.hashing import edge_rank, hash01
 from repro.runtime import RoundContext
 
@@ -96,47 +98,38 @@ class Meter:
         self.cache_hits += 1
 
 
-_SYM_SCHEMA = "src long, dst long, key double"
+_ROW_SCHEMA = "src long, dst long, key double"
 
 
-def _symmetric_with_key(edges: DataFrame, sort: str, direct: bool, seed: int) -> DataFrame:
-    """Both orientations of each edge with the per-neighbor sort key;
+def _flat_exchange(
+    spark: SparkSession, g: GraphData, sort: str, direct: bool, seed: int
+) -> DataFrame:
+    """Both orientations of each edge with the per-neighbor sort key,
+    computed on the driver, hash-partitioned on ``src`` by one exchange;
     ``direct`` keeps only the rows whose neighbor precedes ``src`` in π.
-
-    One narrow map; the single shuffle happens in :func:`_flat_exchange`.
-    """
-
-    def add_key(batches):
-        for pdf in batches:
-            u, v = pdf["u"].to_numpy(), pdf["v"].to_numpy()
-            src, dst = np.concatenate([u, v]), np.concatenate([v, u])
-            if sort == "vertex_rank":
-                key = hash01(dst, seed)
-            elif sort == "edge_rank":
-                key = edge_rank(src, dst, seed)
-            elif sort == "weight":
-                key = np.tile(pdf["w"].to_numpy().astype(np.float64), 2)
-            else:  # pragma: no cover
-                raise ValueError(f"unknown sort mode {sort!r}")
-            keep = key < hash01(src, seed) if direct else slice(None)
-            yield pd.DataFrame({"src": src[keep], "dst": dst[keep], "key": key[keep]})
-
-    return edges.mapInPandas(add_key, schema=_SYM_SCHEMA)
-
-
-def _flat_exchange(edges: DataFrame, sort: str, direct: bool, seed: int) -> DataFrame:
-    """The keyed rows hash-partitioned on ``src`` by one exchange; the
-    order within each row is left to :meth:`CSRStore.from_rows`."""
+    The order within each row is left to :meth:`CSRStore.from_rows`."""
     if direct and sort != "vertex_rank":
         raise ValueError("direct=True only makes sense with vertex_rank sort")
-    if sort == "weight" and "w" not in edges.columns:
-        raise ValueError("sort='weight' needs a 'w' column")
-    return _symmetric_with_key(edges, sort, direct, seed).repartition("src")
+    u, v = g.u(), g.v()
+    src, dst = np.concatenate([u, v]), np.concatenate([v, u])
+    if sort == "vertex_rank":
+        key = hash01(dst, seed)
+    elif sort == "edge_rank":
+        key = edge_rank(src, dst, seed)
+    elif sort == "weight":
+        if "w" not in g.edges.columns:
+            raise ValueError("sort='weight' needs a 'w' column")
+        key = np.tile(g.w().astype(np.float64), 2)
+    else:
+        raise ValueError(f"unknown sort mode {sort!r}")
+    keep = key < hash01(src, seed) if direct else slice(None)
+    rows = pd.DataFrame({"src": src[keep], "dst": dst[keep], "key": key[keep]})
+    return parallel_frame(spark, rows, _ROW_SCHEMA).repartition("src")
 
 
 def build_sorted_adjacency(
     spark: SparkSession,
-    edges: DataFrame,
+    g: GraphData,
     ctx: RoundContext,
     *,
     sort: str = "vertex_rank",
@@ -150,18 +143,20 @@ def build_sorted_adjacency(
     - ``sort="edge_rank"``: ordered by the rank of the connecting edge
       (maximal matching, §5.4).
     - ``sort="weight"``: ordered by edge weight (MSF Prim, §5.5) —
-      ``edges`` must carry a ``w`` column.
+      ``g`` must carry a ``w`` column.
     - ``direct=True`` keeps only neighbors earlier in the permutation
       (π(neighbor) < π(vertex)), i.e. the directed graph of Figure 1.
 
+    The keyed rows are computed on the driver, go through one
+    ``repartition("src")`` exchange and are collected as Arrow columns.
     Counts exactly one shuffle on ``ctx`` and records the KV payload
     size. Vertices with no (kept) neighbors have an empty row.
     """
-    rows = _flat_exchange(edges, sort, direct, seed)
+    rows = _flat_exchange(spark, g, sort, direct, seed)
     ctx.shuffle(1)  # the one costly round: Flume GroupByKey / Spark exchange
-    pdf = rows.toPandas()
-    src = pdf["src"].to_numpy()
-    store = CSRStore.from_rows(src, pdf["dst"].to_numpy(), pdf["key"].to_numpy())
+    cols = rows.toArrow()
+    src = cols["src"].to_numpy()
+    store = CSRStore.from_rows(src, cols["dst"].to_numpy(), cols["key"].to_numpy())
     rows_used = int(np.count_nonzero(np.diff(store.indptr)))  # one key word per KV entry
     payload = (2 * len(src) + rows_used) * _WORD
     ctx.kv_bytes += payload

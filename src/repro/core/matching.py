@@ -53,67 +53,93 @@ class _Truncated(Exception):
 
 
 def _resolve_edge(
-    e: tuple[int, int],
-    rank_e: float,
-    store: CSRStore,
-    memo: dict,
-    meter: Meter,
-    budget: list,
+    a: int, b: int, r: float, indptr: list, dst: list, key: list,
+    memo: dict, meter: Meter, budget: list,
 ) -> bool:
-    """Yoshida edge process: e is matched iff no lower-rank adjacent
-    edge is. Iterative with explicit frames; adjacent edges of (a, b)
-    are the merge of a's and b's rank-sorted incidence lists, stopping
-    at rank(e)."""
-    root = (e, rank_e)
-    stack: list[list] = [[root, 0, 0, None]]  # [(edge, rank), ia, ib, lists]
+    """Yoshida edge process: (a, b) of rank r is matched iff no
+    lower-rank adjacent edge is. Iterative with explicit frames
+    ``[a, b, r, ia, ib]``: ``ia``/``ib`` are absolute offsets into the
+    CSR lists ``dst``/``key`` within the rows of ``a`` and ``b`` (-1
+    until the frame has read them), and adjacent edges are the merge of
+    those two rank-sorted rows, stopping at r."""
+    root = _edge_id(a, b)
+    stack: list[list] = [[a, b, r, -1, -1]]
     while stack:
         frame = stack[-1]
-        (a, b), r = frame[0]
-        key = _edge_id(a, b)
-        if key in memo:
+        a, b, r, ia, ib = frame
+        e = _edge_id(a, b)
+        if e in memo:
             stack.pop()
             continue
-        if frame[3] is None:
+        if ia < 0:
             meter.lookup(words=2)
             meter.lookup(words=2)
             budget[0] += 2
-            frame[3] = (store.get(a), store.get(b))
+            ia, ib = indptr[a], indptr[b]
         else:
             meter.hit()
         if budget[0] > budget[1] > 0:
             raise _Truncated()
-        (na, ka), (nb, kb) = frame[3]
-        ia, ib = frame[1], frame[2]
+        ea, eb = indptr[a + 1], indptr[b + 1]
         decided: bool | None = None
         while True:
             # Next adjacent edge in the merged rank order, skipping e itself.
-            ra = ka[ia] if ia < len(ka) else np.inf
-            rb = kb[ib] if ib < len(kb) else np.inf
+            ra = key[ia] if ia < ea else np.inf
+            rb = key[ib] if ib < eb else np.inf
             if min(ra, rb) >= r:
                 decided = True
                 break
             if ra < rb:
-                nxt, r_nxt, adv = (a, int(na[ia])), float(ra), (ia + 1, ib)
+                x, y, r_nxt, adv = a, dst[ia], ra, (ia + 1, ib)
             else:
-                nxt, r_nxt, adv = (b, int(nb[ib])), float(rb), (ia, ib + 1)
-            if _edge_id(*nxt) == key:
+                x, y, r_nxt, adv = b, dst[ib], rb, (ia, ib + 1)
+            nxt = _edge_id(x, y)
+            if nxt == e:
                 ia, ib = adv
                 continue
-            res = memo.get(_edge_id(*nxt))
+            res = memo.get(nxt)
             if res is None:
-                # Save *pre*-advance positions: the resumed frame must
+                # Save *pre*-advance offsets: the resumed frame must
                 # re-pick this edge and read its now-memoized result.
-                frame[1], frame[2] = ia, ib
-                stack.append([(nxt, r_nxt), 0, 0, None])
+                frame[3], frame[4] = ia, ib
+                stack.append([x, y, r_nxt, -1, -1])
                 break
             if res:
                 decided = False
                 break
             ia, ib = adv
         if decided is not None:
-            memo[key] = decided
+            memo[e] = decided
             stack.pop()
-    return memo[_edge_id(*root[0])]
+    return memo[root]
+
+
+def _vertex_process(
+    ids: list[int], store: CSRStore, cache: bool, budget: int
+) -> tuple[list[tuple[int, int, bool]], int, int]:
+    """One partition of the matching round: each vertex in ``ids`` takes
+    the first of its incident edges, by increasing rank, that is matched.
+    Returns the ``(a, partner or -1, settled)`` rows, queries and cache
+    hits; ``cache`` shares one memo across the partition's vertices."""
+    indptr, dst, key = store.indptr.tolist(), store.dst.tolist(), store.key.tolist()
+    meter = Meter()
+    shared_memo: dict = {}
+    rows: list[tuple[int, int, bool]] = []
+    for x in ids:
+        memo = shared_memo if cache else {}
+        spent = [0, budget]
+        partner = -1
+        settled = True
+        for i in range(indptr[x], indptr[x + 1]):
+            try:
+                if _resolve_edge(x, dst[i], key[i], indptr, dst, key, memo, meter, spent):
+                    partner = dst[i]
+                    break
+            except _Truncated:
+                settled = False
+                break
+        rows.append((x, partner, settled))
+    return rows, meter.queries, meter.cache_hits
 
 
 _MM_SCHEMA = StructType(
@@ -154,38 +180,17 @@ def ampc_maximal_matching(
         if current.m == 0:
             break
         ctx.phases += 1
-        edges = current.to_spark(spark)
-        dht = build_sorted_adjacency(spark, edges, ctx, sort=sort, seed=seed)
+        dht = build_sorted_adjacency(spark, current, ctx, sort=sort, seed=seed)
         bc = spark.sparkContext.broadcast(dht.store)
 
         def run(batches, _bc=bc):
-            store = _bc.value
-            meter = Meter()
-            shared_memo: dict = {}
-            rows: list[tuple[int, int, bool]] = []
-            for pdf in batches:
-                for x in pdf["id"].tolist():
-                    x = int(x)
-                    nbrs, ranks = store.get(x)
-                    memo = shared_memo if cache else {}
-                    spent = [0, budget]
-                    partner = -1
-                    settled = True
-                    # Vertex process: incident edges by increasing rank.
-                    for y, r in zip(nbrs.tolist(), ranks.tolist()):
-                        try:
-                            if _resolve_edge((x, int(y)), float(r), store, memo, meter, spent):
-                                partner = int(y)
-                                break
-                        except _Truncated:
-                            settled = False
-                            break
-                    rows.append((x, partner, settled))
+            ids = [x for pdf in batches for x in pdf["id"].tolist()]
+            rows, queries, hits = _vertex_process(ids, _bc.value, cache, budget)
             out = pd.DataFrame(rows, columns=["a", "b", "settled"])
             out["q"] = 0
             out["ch"] = 0
             if len(out):
-                out.loc[out.index[-1], ["q", "ch"]] = [meter.queries, meter.cache_hits]
+                out.loc[out.index[-1], ["q", "ch"]] = [queries, hits]
             yield out
 
         vertices = np.unique(np.concatenate([current.u(), current.v()]))

@@ -113,12 +113,9 @@ def ampc_mis(
     the DHT query count blows up accordingly.
     """
     ctx = ctx or RoundContext(model="ampc")
-    edges = g.to_spark(spark)
     # Step (1)+(2): the single shuffle — direct edges by priority, write
     # the directed graph to the key-value store.
-    dht = build_sorted_adjacency(
-        spark, edges, ctx, sort="vertex_rank", direct=True, seed=seed
-    )
+    dht = build_sorted_adjacency(spark, g, ctx, sort="vertex_rank", direct=True, seed=seed)
     bc = spark.sparkContext.broadcast(dht.store)
     n = g.n
 

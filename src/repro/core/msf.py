@@ -157,8 +157,7 @@ def ampc_msf(
         budget = max(8, int(round(n**0.5)))  # n^(ε/2) with ε = 1
 
     # Part 1, shuffle 1: weight-sorted adjacency -> DHT.
-    edges_df = g.to_spark(spark)
-    dht = build_sorted_adjacency(spark, edges_df, ctx, sort="weight", seed=seed)
+    dht = build_sorted_adjacency(spark, g, ctx, sort="weight", seed=seed)
     bc = spark.sparkContext.broadcast(dht.store)
 
     def run_prim(batches):
@@ -251,7 +250,7 @@ def ampc_msf(
     # Part 3, shuffles 3-5: contract the graph (relabel u, relabel v,
     # regroup to min edge per contracted pair), then in-memory finish.
     cmap = mapping.select("id", "root")
-    e = edges_df
+    e = g.to_spark(spark)
     e = e.join(cmap.withColumnRenamed("id", "u").withColumnRenamed("root", "cu"), on="u")
     ctx.shuffle(1)
     e = e.join(cmap.withColumnRenamed("id", "v").withColumnRenamed("root", "cv"), on="v")

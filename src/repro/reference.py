@@ -95,16 +95,49 @@ def eccentricity(adj: list[np.ndarray], source: int) -> int:
     return int(bfs_levels(adj, source).max())
 
 
+def _csr(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric CSR ``(indptr, nbrs)`` of the canonical edge list."""
+    src, dst = np.concatenate([u, v]), np.concatenate([v, u])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[np.argsort(src, kind="stable")]
+
+
+def _frontier_bfs(indptr: np.ndarray, nbrs: np.ndarray, source: int) -> np.ndarray:
+    """BFS level per vertex (-1 unreachable), one numpy step per level."""
+    level = np.full(len(indptr) - 1, -1, dtype=np.int64)
+    level[source] = 0
+    frontier, depth = np.array([source]), 0
+    while len(frontier):
+        starts, counts = indptr[frontier], indptr[frontier + 1] - indptr[frontier]
+        offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        reached = nbrs[np.repeat(starts, counts) + offsets]
+        frontier = np.unique(reached[level[reached] < 0])
+        depth += 1
+        level[frontier] = depth
+    return level
+
+
 def exact_diameter(n: int, u: np.ndarray, v: np.ndarray) -> int:
-    """Max eccentricity within the largest component (O(n·m) — small n only)."""
-    adj = adjacency(n, u, v)
+    """Diameter of the largest component by iFUB (Crescenzi, Grossi,
+    Habib, Lanzi, Marino, TCS 2013).
+
+    From a highest-degree root r of eccentricity e, vertices at BFS level
+    i or less are at most 2i apart. The eccentricities of the vertices at
+    levels e, e-1, … are computed until the largest one found reaches
+    2i, the bound on the pairs left unchecked.
+    """
+    indptr, nbrs = _csr(n, u, v)
     labels = connected_components(n, u, v)
     giant = np.bincount(labels, minlength=n).argmax()
     members = np.flatnonzero(labels == giant)
-    best = 0
-    for s in members.tolist():
-        lv = bfs_levels(adj, s)
-        best = max(best, int(lv[members].max()))
+    root = int(members[np.argmax(np.diff(indptr)[members])])
+    level = _frontier_bfs(indptr, nbrs, root)
+    best = i = int(level.max())
+    while best < 2 * i:
+        for x in np.flatnonzero(level == i).tolist():
+            best = max(best, int(_frontier_bfs(indptr, nbrs, x).max()))
+        i -= 1
     return best
 
 

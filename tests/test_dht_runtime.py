@@ -69,7 +69,7 @@ class TestBuildSortedAdjacency:
         g = gen.chung_lu(50, 5, 2.2, seed=0)
         ctx = RoundContext(model="ampc")
         dht = build_sorted_adjacency(
-            spark, g.to_spark(spark), ctx, sort="vertex_rank", seed=3
+            spark, g, ctx, sort="vertex_rank", seed=3
         )
         assert ctx.shuffles == 1
         for src, nbrs, keys in _rows(dht.store):
@@ -80,7 +80,7 @@ class TestBuildSortedAdjacency:
         g = gen.chung_lu(60, 5, 2.2, seed=1)
         ctx = RoundContext(model="ampc")
         dht = build_sorted_adjacency(
-            spark, g.to_spark(spark), ctx, sort="vertex_rank", direct=True, seed=0
+            spark, g, ctx, sort="vertex_rank", direct=True, seed=0
         )
         for src, nbrs, keys in _rows(dht.store):
             r_src = hash01(np.array([src]), 0)[0]
@@ -89,11 +89,11 @@ class TestBuildSortedAdjacency:
     def test_direct_halves_entries(self, spark):
         g = gen.chung_lu(60, 5, 2.2, seed=1)
         full = build_sorted_adjacency(
-            spark, g.to_spark(spark), RoundContext(model="ampc"), sort="vertex_rank"
+            spark, g, RoundContext(model="ampc"), sort="vertex_rank"
         )
         direct = build_sorted_adjacency(
             spark,
-            g.to_spark(spark),
+            g,
             RoundContext(model="ampc"),
             sort="vertex_rank",
             direct=True,
@@ -104,7 +104,7 @@ class TestBuildSortedAdjacency:
     def test_edge_rank_sorted(self, spark):
         g = gen.chung_lu(40, 4, 2.2, seed=2)
         dht = build_sorted_adjacency(
-            spark, g.to_spark(spark), RoundContext(model="ampc"), sort="edge_rank", seed=1
+            spark, g, RoundContext(model="ampc"), sort="edge_rank", seed=1
         )
         for src, nbrs, keys in _rows(dht.store):
             srcs = np.full(len(nbrs), src, dtype=np.int64)
@@ -114,7 +114,7 @@ class TestBuildSortedAdjacency:
     def test_weight_sorted(self, spark):
         g = gen.with_degree_weights(gen.chung_lu(40, 4, 2.2, seed=3))
         dht = build_sorted_adjacency(
-            spark, g.to_spark(spark), RoundContext(model="ampc"), sort="weight"
+            spark, g, RoundContext(model="ampc"), sort="weight"
         )
         wt = {(min(a, b), max(a, b)): w for a, b, w in zip(g.u(), g.v(), g.w())}
         for src, nbrs, keys in _rows(dht.store):
@@ -126,7 +126,7 @@ class TestBuildSortedAdjacency:
         g = gen.chung_lu(20, 3, 2.2, seed=0)
         with pytest.raises(ValueError, match="needs a 'w' column"):
             build_sorted_adjacency(
-                spark, g.to_spark(spark), RoundContext(model="ampc"), sort="weight"
+                spark, g, RoundContext(model="ampc"), sort="weight"
             )
 
     def test_direct_requires_vertex_rank(self, spark):
@@ -134,7 +134,7 @@ class TestBuildSortedAdjacency:
         with pytest.raises(ValueError):
             build_sorted_adjacency(
                 spark,
-                g.to_spark(spark),
+                g,
                 RoundContext(model="ampc"),
                 sort="edge_rank",
                 direct=True,
@@ -143,7 +143,7 @@ class TestBuildSortedAdjacency:
     def test_payload_bytes_recorded(self, spark):
         g = gen.chung_lu(30, 4, 2.2, seed=0)
         ctx = RoundContext(model="ampc")
-        dht = build_sorted_adjacency(spark, g.to_spark(spark), ctx, sort="vertex_rank")
+        dht = build_sorted_adjacency(spark, g, ctx, sort="vertex_rank")
         rows = np.count_nonzero(np.diff(dht.store.indptr))
         assert dht.payload_bytes == (2 * 2 * g.m + rows) * 8
         assert ctx.kv_bytes == dht.payload_bytes
@@ -151,7 +151,7 @@ class TestBuildSortedAdjacency:
     def test_indptr_well_formed(self, spark):
         g = gen.chung_lu(50, 5, 2.2, seed=4)
         store = build_sorted_adjacency(
-            spark, g.to_spark(spark), RoundContext(model="ampc"), sort="edge_rank"
+            spark, g, RoundContext(model="ampc"), sort="edge_rank"
         ).store
         assert np.all(np.diff(store.indptr) >= 0)
         assert store.indptr[0] == 0 and store.indptr[-1] == len(store.dst) == len(store.key)
@@ -165,7 +165,7 @@ class TestBuildSortedAdjacency:
             g = _star_tied(6, np.random.default_rng(seed).permutation(11))
             built.append(
                 build_sorted_adjacency(
-                    spark, g.to_spark(spark), RoundContext(model="ampc"), sort="weight"
+                    spark, g, RoundContext(model="ampc"), sort="weight"
                 ).store
             )
         a, b = built
@@ -177,7 +177,7 @@ class TestBuildSortedAdjacency:
             assert len(a.get(x)[0]) == 0
         direct = build_sorted_adjacency(
             spark,
-            _star_tied(6, np.arange(11)).to_spark(spark),
+            _star_tied(6, np.arange(11)),
             RoundContext(model="ampc"),
             direct=True,
         ).store
@@ -187,22 +187,43 @@ class TestBuildSortedAdjacency:
 
     def test_one_exchange_in_plan(self, spark, monkeypatch):
         """The logical shuffle is the only Exchange Spark executes."""
-        built = []
-
-        def spy(*args):
-            built.append(exchange(*args))
-            return built[-1]
-
-        exchange = dht_mod._flat_exchange
-        monkeypatch.setattr(dht_mod, "_flat_exchange", spy)
-        g = gen.chung_lu(50, 5, 2.2, seed=0)
         ctx = RoundContext(model="ampc")
-        build_sorted_adjacency(spark, g.to_spark(spark), ctx, sort="edge_rank")
-        plan = built[0]._jdf.queryExecution().executedPlan().toString()
+        plan = _executed_build_plan(spark, monkeypatch, ctx)
         final = plan.split("== Initial Plan ==")[0]
         exchanges = re.findall(r"(?<![A-Za-z])Exchange (\w+)\((\w+)#", final)
         assert exchanges == [("hashpartitioning", "src")]
         assert ctx.shuffles == 1
+
+    def test_no_python_stage_in_plan(self, spark, monkeypatch):
+        """The keys are computed on the driver: the build runs no Python
+        worker stage."""
+        plan = _executed_build_plan(spark, monkeypatch, RoundContext(model="ampc"))
+        for node in ("MapInPandas", "PythonMapInArrow", "ArrowEvalPython", "BatchEvalPython"):
+            assert node not in plan
+
+    def test_edgeless(self, spark):
+        none = np.empty(0, dtype=np.int64)
+        g = GraphData(n=4, edges=pd.DataFrame({"u": none, "v": none}))
+        ctx = RoundContext(model="ampc")
+        dht = build_sorted_adjacency(spark, g, ctx, sort="edge_rank")
+        assert len(dht.store.dst) == len(dht.store.key) == 0
+        assert dht.store.indptr.tolist() == [0]
+        assert dht.payload_bytes == 0 and ctx.shuffles == 1
+
+
+def _executed_build_plan(spark, monkeypatch, ctx: RoundContext) -> str:
+    """Executed plan of the exchange frame an edge-rank build collects."""
+    built = []
+
+    def spy(*args):
+        built.append(exchange(*args))
+        return built[-1]
+
+    exchange = dht_mod._flat_exchange
+    monkeypatch.setattr(dht_mod, "_flat_exchange", spy)
+    g = gen.chung_lu(50, 5, 2.2, seed=0)
+    build_sorted_adjacency(spark, g, ctx, sort="edge_rank")
+    return built[0]._jdf.queryExecution().executedPlan().toString()
 
 
 class TestCycleStore:

@@ -4,12 +4,15 @@ import pandas as pd
 import pytest
 
 from repro import reference as ref
+from repro.ampc.dht import CSRStore
 from repro.core.matching import (
+    _vertex_process,
     ampc_matching_loglog,
     ampc_maximal_matching,
     mpc_maximal_matching,
 )
 from repro.graphs import generators as gen
+from repro.hashing import edge_rank
 from repro.runtime import RoundContext
 
 
@@ -85,6 +88,33 @@ def test_edge_row_order_leaves_queries_unchanged(spark):
         runs.append((edges, ctx.queries, ctx.cache_hits, ctx.kv_bytes))
     assert runs[0] == runs[1]
     assert runs[0][0] == ref.greedy_matching(g.n, g.u(), g.v(), 0)
+
+
+@pytest.mark.parametrize(
+    "cache,budget,queries,hits,unsettled",
+    [
+        (True, 0, 1754, 248, []),
+        (False, 0, 7778, 2793, []),
+        (True, 24, 1750, 232, [28, 40, 44, 68, 84, 131, 135, 209]),
+    ],
+    ids=["cache", "no_cache", "budget24"],
+)
+def test_vertex_process_pinned(cache, budget, queries, hits, unsettled):
+    """The round's per-partition query process with every vertex in one
+    partition, on the edge-rank CSR of ``chung_lu(500, 8, 2.2)``: pinned
+    query and cache-hit counts. Rows are the greedy matching's, except
+    that a vertex cut off by its budget reads ``(x, -1, False)``."""
+    g = gen.chung_lu(500, 8, 2.2)
+    src, dst = np.r_[g.u(), g.v()], np.r_[g.v(), g.u()]
+    store = CSRStore.from_rows(src, dst, edge_rank(src, dst, 0))
+    ids = np.unique(src).tolist()
+    rows, got_queries, got_hits = _vertex_process(ids, store, cache, budget)
+    matching = ref.greedy_matching(g.n, g.u(), g.v(), 0)
+    mate = {x: y for a, b in matching for x, y in ((a, b), (b, a))}
+    assert rows == [
+        (x, -1, False) if x in unsettled else (x, mate.get(x, -1), True) for x in ids
+    ]
+    assert (got_queries, got_hits) == (queries, hits)
 
 
 def test_ampc_matching_cache_reduces_queries(spark):

@@ -90,6 +90,45 @@ class TestBFSandDiameter:
         assert lv[1] == 1 and lv[2] == -1 and lv[3] == -1
 
 
+def _all_sources_diameter(n, u, v):
+    """The O(n·m) diameter: a BFS from every vertex of the largest
+    component. The oracle for iFUB."""
+    adj = ref.adjacency(n, u, v)
+    labels = ref.connected_components(n, u, v)
+    giant = np.bincount(labels, minlength=n).argmax()
+    members = np.flatnonzero(labels == giant)
+    return max(int(ref.bfs_levels(adj, s)[members].max()) for s in members.tolist())
+
+
+def _diameter_case(i):
+    """Graph ``i`` of 20: dense and sparse random, two paths, a star and
+    a path of equal size (tied components), and a random tree."""
+    rng = np.random.default_rng(i)
+    n = int(rng.integers(50, 301))
+    kind = i % 5
+    if kind == 0:
+        return (n, *_random_graph(n, 3 * n, i))
+    if kind == 1:
+        return (n, *_random_graph(n, n // 2, i))
+    if kind == 2:
+        k = int(rng.integers(1, n - 1))
+        ids = np.arange(n)
+        keep = ids[:-1] != k - 1
+        return n, ids[:-1][keep], ids[1:][keep]
+    if kind == 3:
+        h = n // 2
+        u = np.r_[np.zeros(h - 1, dtype=np.int64), np.arange(h, 2 * h - 1)]
+        return n, u, np.r_[np.arange(1, h), np.arange(h + 1, 2 * h)]
+    v = np.arange(1, n)
+    return n, rng.integers(0, v), v
+
+
+@pytest.mark.parametrize("i", range(20))
+def test_ifub_equals_all_sources_diameter(i):
+    n, u, v = _diameter_case(i)
+    assert ref.exact_diameter(n, u, v) == _all_sources_diameter(n, u, v)
+
+
 class TestKruskal:
     def test_triangle(self):
         u = np.array([0, 1, 0])
