@@ -3,30 +3,31 @@
 The paper's AMPC implementations perform one shuffle that builds a
 keyed representation of the graph (priority-directed adjacency for MIS,
 edge-rank-sorted adjacency for matching, weight-sorted adjacency for
-MSF, successor lists for cycles) and *write it to the key-value store*;
-subsequent rounds make adaptive point lookups against it.
+MSF, the two neighbors of each vertex for cycles) and *write it to the
+key-value store*; subsequent rounds make adaptive point lookups
+against it.
 
 Here the "write to the KV store" is: key the ``(src, dst, key)`` rows
 on the driver with numpy, run that one shuffle in Spark (a flat
 ``repartition("src")`` exchange, with no Python worker stage), collect
-it with ``toArrow``, sort it into a :class:`CSRStore` on the driver and
-ship its three arrays to executors with ``sparkContext.broadcast``.
-Within the following adaptive round every task has random read access
-to every key — the defining AMPC capability — without any further
-shuffle.
+it with ``toArrow`` and sort it into a :class:`CSRStore` on the driver.
+:func:`adaptive_round` then ships the store to executors with
+``sparkContext.broadcast``: within the round every task has random read
+access to every key — the defining AMPC capability — without any
+further shuffle.
 
-Query metering is done caller-side (a ``Meter`` per partition, reported
-through output columns) so counts are exact and deterministic.
+Query metering is done by the round itself: each task counts its
+lookups on a fresh :class:`Meter` and returns the totals with its rows,
+so counts are exact and deterministic.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.graphs.generators import GraphData, parallel_frame
 from repro.hashing import edge_rank, hash01
@@ -66,13 +67,9 @@ class CSRStore:
 
 @dataclass
 class DHT:
-    """A built, read-only key-value store plus its size accounting.
+    """A built, read-only key-value store plus its size accounting."""
 
-    ``store`` is a :class:`CSRStore`, or the raw ``(n, 2)`` successor
-    array for cycles.
-    """
-
-    store: Any
+    store: CSRStore
     payload_bytes: int
 
 
@@ -96,6 +93,51 @@ class Meter:
 
     def hit(self) -> None:
         self.cache_hits += 1
+
+
+def adaptive_round(
+    spark: SparkSession,
+    ctx: RoundContext,
+    store: Any,
+    ids,
+    body: Callable[[list, Any, Meter], list],
+) -> list:
+    """One AMPC adaptive round: every machine reads ``store`` at will.
+
+    ``store`` is broadcast for the round. ``ids`` is cut into
+    ``P = min(defaultParallelism, len(ids))`` slices at ``floor(i·len/P)``,
+    the rows a ``spark.range`` or ``LocalTableScan`` partition holds, and
+    ``body(slice, store, meter)`` runs once per slice as one task. A
+    slice is one machine, so whatever ``body`` memoizes across its ids is
+    that machine's cache (§5.3), and the slicing decides the query
+    counts. The tasks' meter totals are added to ``ctx``; their rows come
+    back concatenated in id order.
+    """
+    ids = np.asarray(ids, dtype=np.int64).tolist()
+    if not ids:
+        return []
+    sc = spark.sparkContext
+    p = min(sc.defaultParallelism, len(ids))
+    cuts = [i * len(ids) // p for i in range(p + 1)]
+    slices = [ids[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    bc = sc.broadcast(store)
+
+    def task(part: list) -> tuple[list, int, int, int]:
+        meter = Meter()
+        rows = body(part, bc.value, meter)
+        return rows, meter.queries, meter.cache_hits, meter.kv_bytes
+
+    try:
+        results = sc.parallelize(slices, p).map(task).collect()
+    finally:
+        bc.unpersist()
+    rows: list = []
+    for part_rows, queries, hits, kv_bytes in results:
+        rows += part_rows
+        ctx.queries += queries
+        ctx.cache_hits += hits
+        ctx.kv_bytes += kv_bytes
+    return rows
 
 
 _ROW_SCHEMA = "src long, dst long, key double"
@@ -161,32 +203,3 @@ def build_sorted_adjacency(
     payload = (2 * len(src) + rows_used) * _WORD
     ctx.kv_bytes += payload
     return DHT(store=store, payload_bytes=payload)
-
-
-def build_cycle_store(
-    spark: SparkSession, edges: DataFrame, n: int, ctx: RoundContext
-) -> DHT:
-    """Successor store for degree-2 graphs (the 1-vs-2-Cycle inputs).
-
-    One shuffle groups both neighbors of every vertex; the store is a
-    dense ``(n, 2)`` int64 array — the array-backed DHT of DESIGN.md §2
-    (compact enough to broadcast even at 2×10^6 vertices).
-    """
-    sym = edges.select("u", "v").union(edges.select(F.col("v").alias("u"), F.col("u").alias("v")))
-    # Degree-2 vertices have exactly two neighbors, so min/max capture
-    # the full list — scalar aggregates transfer far faster than
-    # collect_list arrays at 10^6-vertex scale.
-    grouped = sym.groupBy("u").agg(
-        F.min("v").alias("n1"), F.max("v").alias("n2"), F.count("v").alias("deg")
-    )
-    ctx.shuffle(1)
-    rows = grouped.toPandas()
-    if len(rows) != n or (rows["deg"].to_numpy() != 2).any():
-        raise ValueError("cycle store needs every vertex to have degree 2")
-    nbr = np.full((n, 2), -1, dtype=np.int64)
-    src = rows["u"].to_numpy()
-    nbr[src, 0] = rows["n1"].to_numpy()
-    nbr[src, 1] = rows["n2"].to_numpy()
-    payload = nbr.size * _WORD
-    ctx.kv_bytes += payload
-    return DHT(store=nbr, payload_bytes=payload)

@@ -4,8 +4,10 @@
   sample vertices with probability ``p``, walk outward from each
   sample (both directions) through the DHT until the next sample,
   contract to the sampled vertices, and count components of the
-  (tiny) contracted graph on one machine. One shuffle (writing the
-  successor store), matching Table 4's AMPC row.
+  (tiny) contracted graph on one machine. One shuffle writes the same
+  ``CSRStore`` adjacency the other AMPC algorithms build, whose row of
+  each vertex holds its two cycle neighbors; matching Table 4's AMPC
+  row.
 - :func:`mpc_cycle_cc` — the MPC baseline: iterated random-mate local
   contraction; each iteration shrinks the cycle by a constant factor
   and costs 3 shuffles (mate selection, relabel-u, relabel-v); the
@@ -23,7 +25,7 @@ from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import LongType, StructField, StructType
 
-from repro.ampc.dht import build_cycle_store
+from repro.ampc.dht import adaptive_round, build_sorted_adjacency
 from repro.graphs.generators import GraphData, parallel_frame
 from repro.hashing import hash01, splitmix64
 from repro.mpc import DEFAULT_CUTOFF_EDGES
@@ -37,13 +39,11 @@ class CycleResult:
     ctx: RoundContext
 
 
-_WALK_SCHEMA = StructType(
-    [
-        StructField("s", LongType()),
-        StructField("t", LongType()),
-        StructField("steps", LongType()),
-    ]
-)
+def _check_2_regular(g: GraphData) -> None:
+    """Raise on the driver, before any Spark job, unless ``g`` is a
+    union of cycles: every vertex has degree exactly 2."""
+    if (np.bincount(np.concatenate([g.u(), g.v()]), minlength=g.n) != 2).any():
+        raise ValueError("1-vs-2-Cycle needs every vertex to have degree 2")
 
 
 def ampc_one_vs_two_cycle(
@@ -60,52 +60,46 @@ def ampc_one_vs_two_cycle(
     next sample (possibly itself), so each cycle edge is traversed
     exactly twice when every cycle contains a sample — verified by the
     step-count invariant, which raises if a cycle went unsampled
-    (increase ``p``).
+    (increase ``p``). Raises ``ValueError`` on the driver unless every
+    vertex has degree 2.
     """
+    _check_2_regular(g)
     ctx = ctx or RoundContext(model="ampc")
-    n = g.n
-    dht = build_cycle_store(spark, g.to_spark(spark), n, ctx)
-    bc = spark.sparkContext.broadcast(dht.store)
-    is_sample = hash01(np.arange(n), seed + 77) < p
+    is_sample = hash01(np.arange(g.n), seed + 77) < p
     if not is_sample.any():
         raise ValueError("no vertices sampled; increase p")
-    bc_sample = spark.sparkContext.broadcast(is_sample)
+    dht = build_sorted_adjacency(spark, g, ctx, seed=seed)
+
+    def walk(ids, store, meter):
+        csr, sample = store
+        indptr, dst = csr.indptr, csr.dst
+        rows = []
+        for s in ids:
+            # Each step reads the two-entry row of the vertex it reaches.
+            for first in csr.get(s)[0].tolist():
+                prev, cur, steps = s, first, 1
+                meter.lookup(words=2)
+                while not sample[cur]:
+                    i = indptr[cur]
+                    prev, cur = cur, (dst[i + 1] if dst[i] == prev else dst[i])
+                    meter.lookup(words=2)
+                    steps += 1
+                rows.append((s, int(cur), steps))
+        return rows
+
     samples = np.flatnonzero(is_sample)
-
-    def walk(batches):
-        nbr = bc.value
-        sample = bc_sample.value
-        for pdf in batches:
-            rows = []
-            for s in pdf["s"].tolist():
-                s = int(s)
-                for direction in (0, 1):
-                    prev, cur, steps = s, int(nbr[s, direction]), 1
-                    while not sample[cur]:
-                        a, b = nbr[cur]
-                        nxt = int(b) if int(a) == prev else int(a)
-                        prev, cur = cur, nxt
-                        steps += 1
-                    rows.append((s, cur, steps))
-            yield pd.DataFrame(rows, columns=["s", "t", "steps"])
-
-    sdf = spark.createDataFrame(pd.DataFrame({"s": samples}))
-    out = sdf.mapInPandas(walk, schema=_WALK_SCHEMA).toPandas()
-    total_steps = int(out["steps"].sum())
-    ctx.queries += total_steps
-    ctx.kv_bytes += total_steps * 16
+    rows = adaptive_round(spark, ctx, (dht.store, is_sample), samples, walk)
+    total_steps = sum(steps for _, _, steps in rows)
     if total_steps != 2 * g.m:
         raise ValueError(
             f"walks covered {total_steps} != 2m={2 * g.m} edge traversals: "
             "some cycle contains no sample; increase p"
         )
     # Contract: union-find over the sample graph on one machine.
-    lut = {int(s): i for i, s in enumerate(samples.tolist())}
+    lut = {s: i for i, s in enumerate(samples.tolist())}
     uf = UnionFind(len(samples))
-    for s, t in zip(out["s"].tolist(), out["t"].tolist()):
-        uf.union(lut[int(s)], lut[int(t)])
-    bc.unpersist()
-    bc_sample.unpersist()
+    for s, t, _ in rows:
+        uf.union(lut[s], lut[t])
     return CycleResult(n_components=uf.n_components, ctx=ctx)
 
 
@@ -124,9 +118,8 @@ def mpc_cycle_cc(
     head neighbor. 3 shuffles per iteration. Counts components of the
     collected residual (self-loops retained so fully-contracted cycles
     stay visible). Raises ``ValueError`` on the driver unless every
-    vertex has degree 2, as the AMPC cycle store does."""
-    if (np.bincount(np.concatenate([g.u(), g.v()]), minlength=g.n) != 2).any():
-        raise ValueError("mpc_cycle_cc needs every vertex to have degree 2")
+    vertex has degree 2."""
+    _check_2_regular(g)
     ctx = ctx or RoundContext(model="mpc")
     edges = parallel_frame(
         spark, pd.DataFrame({"cu": g.u(), "cv": g.v()}), "cu long, cv long"

@@ -29,9 +29,8 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql.types import BooleanType, LongType, StructField, StructType
 
-from repro.ampc.dht import CSRStore, Meter, build_sorted_adjacency
+from repro.ampc.dht import CSRStore, Meter, adaptive_round, build_sorted_adjacency
 from repro.graphs.generators import GraphData, parallel_frame
 from repro.hashing import edge_rank
 from repro.mpc import DEFAULT_CUTOFF_EDGES
@@ -115,14 +114,13 @@ def _resolve_edge(
 
 
 def _vertex_process(
-    ids: list[int], store: CSRStore, cache: bool, budget: int
-) -> tuple[list[tuple[int, int, bool]], int, int]:
-    """One partition of the matching round: each vertex in ``ids`` takes
-    the first of its incident edges, by increasing rank, that is matched.
-    Returns the ``(a, partner or -1, settled)`` rows, queries and cache
-    hits; ``cache`` shares one memo across the partition's vertices."""
+    ids: list[int], store: CSRStore, meter: Meter, cache: bool, budget: int
+) -> list[tuple[int, int, bool]]:
+    """One machine's share of the matching round: each vertex in ``ids``
+    takes the first of its incident edges, by increasing rank, that is
+    matched. Returns the ``(a, partner or -1, settled)`` rows; ``cache``
+    shares one memo across the machine's vertices."""
     indptr, dst, key = store.indptr.tolist(), store.dst.tolist(), store.key.tolist()
-    meter = Meter()
     shared_memo: dict = {}
     rows: list[tuple[int, int, bool]] = []
     for x in ids:
@@ -139,18 +137,7 @@ def _vertex_process(
                 settled = False
                 break
         rows.append((x, partner, settled))
-    return rows, meter.queries, meter.cache_hits
-
-
-_MM_SCHEMA = StructType(
-    [
-        StructField("a", LongType()),
-        StructField("b", LongType()),
-        StructField("settled", BooleanType()),
-        StructField("q", LongType()),
-        StructField("ch", LongType()),
-    ]
-)
+    return rows
 
 
 def ampc_maximal_matching(
@@ -181,33 +168,19 @@ def ampc_maximal_matching(
             break
         ctx.phases += 1
         dht = build_sorted_adjacency(spark, current, ctx, sort=sort, seed=seed)
-        bc = spark.sparkContext.broadcast(dht.store)
-
-        def run(batches, _bc=bc):
-            ids = [x for pdf in batches for x in pdf["id"].tolist()]
-            rows, queries, hits = _vertex_process(ids, _bc.value, cache, budget)
-            out = pd.DataFrame(rows, columns=["a", "b", "settled"])
-            out["q"] = 0
-            out["ch"] = 0
-            if len(out):
-                out.loc[out.index[-1], ["q", "ch"]] = [queries, hits]
-            yield out
-
         vertices = np.unique(np.concatenate([current.u(), current.v()]))
-        vdf = spark.createDataFrame(pd.DataFrame({"id": vertices}))
-        res = vdf.mapInPandas(run, schema=_MM_SCHEMA).toPandas()
-        ctx.queries += int(res["q"].sum())
-        ctx.cache_hits += int(res["ch"].sum())
-        ctx.kv_bytes += int(res["q"].sum()) * 16
-        bc.unpersist()
-
-        for a, b in zip(res["a"].tolist(), res["b"].tolist()):
+        rows = adaptive_round(
+            spark, ctx, dht.store, vertices,
+            lambda ids, store, meter: _vertex_process(ids, store, meter, cache, budget),
+        )
+        matched_vertices = set()
+        for a, b, settled in rows:
             if b >= 0:
-                matched_edges.add(_edge_id(int(a), int(b)))
-        settled_rows = res.loc[res["settled"]]
-        matched_vertices = set(settled_rows["a"].tolist()) | {
-            int(b) for b in settled_rows["b"] if b >= 0
-        }
+                matched_edges.add(_edge_id(a, b))
+            if settled:
+                matched_vertices.add(a)
+                if b >= 0:
+                    matched_vertices.add(b)
         # Remove every settled vertex (matched or proven unmatched —
         # both are final) along with incident edges; retry the rest.
         keep = ~(

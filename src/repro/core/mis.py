@@ -28,7 +28,7 @@ from pyspark.sql.types import (
     StructType,
 )
 
-from repro.ampc.dht import CSRStore, Meter, build_sorted_adjacency
+from repro.ampc.dht import CSRStore, Meter, adaptive_round, build_sorted_adjacency
 from repro.graphs.generators import GraphData
 from repro.hashing import hash01
 from repro.mpc import DEFAULT_CUTOFF_EDGES
@@ -44,16 +44,6 @@ class MISResult:
 # --------------------------------------------------------------------------
 # AMPC (Figure 1)
 # --------------------------------------------------------------------------
-
-_OUT_SCHEMA = StructType(
-    [
-        StructField("node", LongType()),
-        StructField("in_mis", BooleanType()),
-        StructField("q", LongType()),
-        StructField("ch", LongType()),
-    ]
-)
-
 
 def _resolve_in_mis(root: int, store: CSRStore, memo: dict, meter: Meter) -> bool:
     """Iterative version of Figure 1's ``InMIS`` recursion.
@@ -116,32 +106,17 @@ def ampc_mis(
     # Step (1)+(2): the single shuffle — direct edges by priority, write
     # the directed graph to the key-value store.
     dht = build_sorted_adjacency(spark, g, ctx, sort="vertex_rank", direct=True, seed=seed)
-    bc = spark.sparkContext.broadcast(dht.store)
-    n = g.n
 
     # Step (3): adaptive round — IsInMIS over all vertices.
-    def run(batches):
-        store = bc.value
-        meter = Meter()
+    def run(ids, store, meter):
         shared_memo: dict[int, bool] = {}
-        rows_out: list[tuple[int, bool]] = []
-        for pdf in batches:
-            for x in pdf["id"].tolist():
-                memo = shared_memo if cache else {}
-                rows_out.append((x, _resolve_in_mis(int(x), store, memo, meter)))
-        out = pd.DataFrame(rows_out, columns=["node", "in_mis"])
-        out["q"] = 0
-        out["ch"] = 0
-        if len(out):
-            out.loc[out.index[-1], ["q", "ch"]] = [meter.queries, meter.cache_hits]
-        yield out
+        return [
+            (x, _resolve_in_mis(x, store, shared_memo if cache else {}, meter))
+            for x in ids
+        ]
 
-    res = spark.range(n).mapInPandas(run, schema=_OUT_SCHEMA).toPandas()
-    ctx.queries += int(res["q"].sum())
-    ctx.cache_hits += int(res["ch"].sum())
-    ctx.kv_bytes += int(res["q"].sum()) * 8
-    members = set(res.loc[res["in_mis"], "node"].astype(int).tolist())
-    bc.unpersist()
+    rows = adaptive_round(spark, ctx, dht.store, np.arange(g.n), run)
+    members = {x for x, in_mis in rows if in_mis}
     return MISResult(members=members, ctx=ctx)
 
 

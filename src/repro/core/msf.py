@@ -37,9 +37,8 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
-from repro.ampc.dht import CSRStore, Meter, build_sorted_adjacency
+from repro.ampc.dht import CSRStore, Meter, adaptive_round, build_sorted_adjacency
 from repro.graphs.generators import GraphData, parallel_frame
 from repro.hashing import coin, hash01
 from repro.mpc import DEFAULT_CUTOFF_EDGES
@@ -77,17 +76,6 @@ def _kruskal_contracted(
 # --------------------------------------------------------------------------
 # AMPC (§5.5)
 # --------------------------------------------------------------------------
-
-_PRIM_SCHEMA = StructType(
-    [
-        StructField("kind", LongType()),  # 0 = MSF edge, 1 = visit tuple
-        StructField("x", LongType()),  # edge u / visited vertex
-        StructField("y", LongType()),  # edge v / visitor
-        StructField("w", DoubleType()),  # edge weight / visitor rank
-        StructField("q", LongType()),
-    ]
-)
-
 
 def _prim_search(
     v: int,
@@ -158,43 +146,22 @@ def ampc_msf(
 
     # Part 1, shuffle 1: weight-sorted adjacency -> DHT.
     dht = build_sorted_adjacency(spark, g, ctx, sort="weight", seed=seed)
-    bc = spark.sparkContext.broadcast(dht.store)
 
-    def run_prim(batches):
-        store = bc.value
-        meter = Meter()
+    def run_prim(ids, store, meter):
         ranks_of = hash01(np.arange(n), seed).tolist().__getitem__
+        return [_prim_search(v, store, ranks_of, budget, meter) for v in ids]
 
-        out: list[tuple[int, int, int, float, int]] = []
-        for pdf in batches:
-            for v in pdf["id"].tolist():
-                mes, vis = _prim_search(int(v), store, ranks_of, budget, meter)
-                for a, b, w in mes:
-                    out.append((0, min(a, b), max(a, b), w, 0))
-                for visited, visitor in vis:
-                    out.append((1, visited, visitor, ranks_of(visitor), 0))
-        res = pd.DataFrame(out, columns=["kind", "x", "y", "w", "q"])
-        if len(res):
-            res.loc[res.index[-1], "q"] = meter.queries
-        else:
-            res = pd.DataFrame(
-                [(0, -1, -1, 0.0, meter.queries)], columns=["kind", "x", "y", "w", "q"]
-            )
-        yield res
-
-    prim_out = (
-        spark.range(n).mapInPandas(run_prim, schema=_PRIM_SCHEMA).localCheckpoint(eager=True)
-    )
-    ctx.queries += int(prim_out.agg(F.sum("q")).collect()[0][0] or 0)
-
-    msf_edges = {
-        (int(r["x"]), int(r["y"]))
-        for r in prim_out.filter("kind = 0 and x >= 0").select("x", "y").collect()
-    }
+    prim = adaptive_round(spark, ctx, dht.store, np.arange(n), run_prim)
+    msf_edges = {(min(a, b), max(a, b)) for mes, _ in prim for a, b, _ in mes}
 
     # Part 2, shuffle 2: combine visit tuples — keep the highest-priority
     # (lowest-rank) visitor per visited vertex.
-    visits = prim_out.filter("kind = 1")
+    xy = np.array([t for _, vis in prim for t in vis], dtype=np.int64).reshape(-1, 2)
+    visits = parallel_frame(
+        spark,
+        pd.DataFrame({"x": xy[:, 0], "y": xy[:, 1], "w": hash01(xy[:, 1], seed)}),
+        "x long, y long, w double",
+    )
     parent_df = visits.groupBy(F.col("x").alias("child")).agg(
         F.min(F.struct("w", "y")).alias("best")
     )
@@ -203,53 +170,34 @@ def ampc_msf(
     parent_map = dict(
         zip(parents["child"].astype(int).tolist(), parents["parent"].astype(int).tolist())
     )
-    bc_parent = spark.sparkContext.broadcast(parent_map)
 
     # Adaptive round: pointer jumping through the DHT (no shuffle —
     # "repeatedly queries the parent of a vertex until it hits a root").
-    def jump(batches):
-        pm = bc_parent.value
+    def jump(ids, pm, meter):
         memo: dict[int, int] = {}
-        meter = Meter()
-        max_chain = 0
         rows = []
-        for pdf in batches:
-            for x in pdf["id"].tolist():
-                x = int(x)
-                chain = []
-                cur = x
-                while cur not in memo and cur in pm:
-                    meter.lookup()
-                    chain.append(cur)
-                    cur = pm[cur]
-                root = memo.get(cur, cur)
-                for c in chain:
-                    memo[c] = root
-                max_chain = max(max_chain, len(chain))
-                rows.append((x, root, 0, 0))
-        out = pd.DataFrame(rows, columns=["id", "root", "q", "mc"])
-        if len(out):
-            out.loc[out.index[-1], ["q", "mc"]] = [meter.queries, max_chain]
-        yield out
+        for x in ids:
+            chain = []
+            cur = x
+            while cur not in memo and cur in pm:
+                meter.lookup()
+                chain.append(cur)
+                cur = pm[cur]
+            root = memo.get(cur, cur)
+            for c in chain:
+                memo[c] = root
+            rows.append((x, root, len(chain)))
+        return rows
 
-    jump_schema = StructType(
-        [
-            StructField("id", LongType()),
-            StructField("root", LongType()),
-            StructField("q", LongType()),
-            StructField("mc", LongType()),
-        ]
-    )
-    mapping = (
-        spark.range(n).mapInPandas(jump, schema=jump_schema).localCheckpoint(eager=True)
-    )
-    stats = mapping.agg(F.sum("q").alias("q"), F.max("mc").alias("mc")).collect()[0]
-    ctx.queries += int(stats["q"] or 0)
-    ctx.notes["max_pointer_jump"] = int(stats["mc"] or 0)
+    rows = adaptive_round(spark, ctx, parent_map, np.arange(n), jump)
+    roots = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    ctx.notes["max_pointer_jump"] = int(roots[:, 2].max(initial=0))
 
     # Part 3, shuffles 3-5: contract the graph (relabel u, relabel v,
     # regroup to min edge per contracted pair), then in-memory finish.
-    cmap = mapping.select("id", "root")
+    cmap = parallel_frame(
+        spark, pd.DataFrame({"id": roots[:, 0], "root": roots[:, 1]}), "id long, root long"
+    )
     e = g.to_spark(spark)
     e = e.join(cmap.withColumnRenamed("id", "u").withColumnRenamed("root", "cu"), on="u")
     ctx.shuffle(1)
@@ -272,9 +220,6 @@ def ampc_msf(
         cpdf["a"].to_numpy(), cpdf["b"].to_numpy(),
         cpdf["u"].to_numpy(), cpdf["v"].to_numpy(), cpdf["w"].to_numpy(),
     )
-
-    bc.unpersist()
-    bc_parent.unpersist()
     return MSFResult(edges=msf_edges, ctx=ctx)
 
 

@@ -76,13 +76,18 @@ def _graph(n, u, v):
     return gen.GraphData(n=n, edges=edges)
 
 
-NOT_2_REGULAR = [("edgeless", _graph(5, [], [])), ("path4", _graph(4, [0, 1, 2], [1, 2, 3]))]
+NOT_2_REGULAR = [
+    ("edgeless", _graph(5, [], [])),
+    ("path4", _graph(4, [0, 1, 2], [1, 2, 3])),
+    ("chung_lu", gen.chung_lu(20, 4, 2.2, seed=0)),
+]
 
 
 @pytest.mark.parametrize("algo", [ampc_one_vs_two_cycle, mpc_cycle_cc])
 @pytest.mark.parametrize("name,g", NOT_2_REGULAR, ids=[n for n, _ in NOT_2_REGULAR])
-def test_cycle_rejects_non_2_regular(spark, algo, name, g):
+def test_cycle_rejects_non_2_regular(algo, name, g):
     """Both models reject inputs that are not unions of cycles with the
-    same clear error (``match=``: PySpark errors also subclass ValueError)."""
+    same clear error, on the driver before any Spark job: no session is
+    passed (``match=``: PySpark errors also subclass ValueError)."""
     with pytest.raises(ValueError, match="degree 2"):
-        algo(spark, g, seed=0)
+        algo(None, g, seed=0)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.ampc import dht as dht_mod
 from repro.ampc.cost import LATENCY_S, modeled_time
-from repro.ampc.dht import CSRStore, Meter, build_cycle_store, build_sorted_adjacency
+from repro.ampc.dht import CSRStore, Meter, adaptive_round, build_sorted_adjacency
 from repro.graphs import generators as gen
 from repro.graphs.generators import GraphData
 from repro.hashing import edge_rank, hash01
@@ -226,23 +226,36 @@ def _executed_build_plan(spark, monkeypatch, ctx: RoundContext) -> str:
     return built[0]._jdf.queryExecution().executedPlan().toString()
 
 
-class TestCycleStore:
-    def test_successors(self, spark):
-        g = gen.cycle_graph(16, two=True)
-        ctx = RoundContext(model="ampc")
-        dht = build_cycle_store(spark, g.to_spark(spark), g.n, ctx)
-        assert ctx.shuffles == 1
-        nbr = dht.store
-        assert nbr.shape == (16, 2)
-        deg_check = np.zeros(16)
-        for v in range(16):
-            a, b = nbr[v]
-            assert v in nbr[a] and v in nbr[b]
+class TestAdaptiveRound:
+    @pytest.mark.parametrize("n", [3, 1001])
+    def test_slices_meters_and_order(self, spark, n):
+        """Each task gets one ``spark.range(n)`` partition (so the same
+        per-machine cache), ``ctx`` gains exactly the tasks' meter totals,
+        and rows come back in id order."""
 
-    def test_non_cycle_rejected(self, spark):
-        g = gen.chung_lu(20, 4, 2.2, seed=0)
-        with pytest.raises(ValueError):
-            build_cycle_store(spark, g.to_spark(spark), g.n, RoundContext(model="ampc"))
+        def body(ids, store, meter):
+            for x in ids:
+                meter.lookup(words=1 + x % 3)
+                if x % 2:
+                    meter.hit()
+            return [(x, store[x], tuple(ids)) for x in ids]
+
+        ctx = RoundContext(model="ampc", queries=5, cache_hits=6, kv_bytes=7)
+        rows = adaptive_round(spark, ctx, list(range(10, 10 + n)), np.arange(n), body)
+        parts = [[r.id for r in p] for p in spark.range(n).rdd.glom().collect()]
+        assert list(dict.fromkeys(s for _, _, s in rows)) == [tuple(p) for p in parts if p]
+        assert [(x, y) for x, y, _ in rows] == [(x, 10 + x) for x in range(n)]
+        assert ctx.queries == 5 + n
+        assert ctx.cache_hits == 6 + n // 2
+        assert ctx.kv_bytes == 7 + sum(8 * (1 + x % 3) for x in range(n))
+
+    def test_empty_ids(self, spark):
+        def body(ids, store, meter):  # pragma: no cover - never runs
+            raise AssertionError("no task expected")
+
+        ctx = RoundContext(model="ampc", queries=1, cache_hits=2, kv_bytes=3)
+        assert adaptive_round(spark, ctx, None, [], body) == []
+        assert (ctx.queries, ctx.cache_hits, ctx.kv_bytes) == (1, 2, 3)
 
 
 class TestCostModel:

@@ -77,6 +77,17 @@ def test_kkt_equals_kruskal(spark, seed):
     assert got == ref.kruskal_msf(g.n, g.u(), g.v(), g.w())
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_kkt_tied_weights_equals_kruskal(spark, seed):
+    """Weights drawn from {1, 2, 3}: most tie, and the MSF is still
+    exactly Kruskal's under the ``(w, u, v)`` order."""
+    g = gen.chung_lu(300, 6, 2.2, seed=seed)
+    w = np.random.default_rng(seed).integers(1, 4, g.m).astype(np.float64)
+    g = gen.GraphData(n=g.n, edges=g.edges.assign(w=w), name="tied")
+    got = msf_kkt(spark, g, seed=seed).edges
+    assert got == ref.kruskal_msf(g.n, g.u(), g.v(), g.w())
+
+
 def test_kkt_light_edge_reduction(spark):
     """Lemma 3.9 shape: the light set is much smaller than m for a
     dense-enough graph."""

@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 
 from repro import reference as ref
-from repro.ampc.dht import CSRStore
+from repro.ampc.dht import CSRStore, Meter
 from repro.core.matching import (
     _vertex_process,
     ampc_matching_loglog,
@@ -108,13 +108,14 @@ def test_vertex_process_pinned(cache, budget, queries, hits, unsettled):
     src, dst = np.r_[g.u(), g.v()], np.r_[g.v(), g.u()]
     store = CSRStore.from_rows(src, dst, edge_rank(src, dst, 0))
     ids = np.unique(src).tolist()
-    rows, got_queries, got_hits = _vertex_process(ids, store, cache, budget)
+    meter = Meter()
+    rows = _vertex_process(ids, store, meter, cache, budget)
     matching = ref.greedy_matching(g.n, g.u(), g.v(), 0)
     mate = {x: y for a, b in matching for x, y in ((a, b), (b, a))}
     assert rows == [
         (x, -1, False) if x in unsettled else (x, mate.get(x, -1), True) for x in ids
     ]
-    assert (got_queries, got_hits) == (queries, hits)
+    assert (meter.queries, meter.cache_hits) == (queries, hits)
 
 
 def test_ampc_matching_cache_reduces_queries(spark):

@@ -9,6 +9,7 @@ import pandas as pd
 import pytest
 
 from repro import reference as ref
+from repro.ampc.dht import build_sorted_adjacency
 from repro.core.msf import ampc_msf, mpc_msf
 from repro.graphs import generators as gen
 from repro.runtime import RoundContext
@@ -100,6 +101,19 @@ def test_ampc_msf_queries_and_jump_depth(spark):
     assert ctx.notes["max_pointer_jump"] >= 0
     # Lemma 3.4-flavored sanity: total queries are O(n log n)-ish, not O(n^2).
     assert ctx.queries < 60 * g.n * np.log2(g.n)
+
+
+def test_ampc_msf_charges_query_bytes(spark):
+    """Like every AMPC round, Prim and pointer jumping charge each
+    lookup's words to ``kv_bytes`` on top of the DHT payload."""
+    g = _weighted(gen.chung_lu(150, 8, 2.0, seed=2))
+    payload = build_sorted_adjacency(
+        spark, g, RoundContext(model="ampc"), sort="weight"
+    ).payload_bytes
+    ctx = RoundContext(model="ampc")
+    ampc_msf(spark, g, seed=0, ctx=ctx)
+    assert ctx.queries > 0
+    assert ctx.kv_bytes >= payload + 8 * ctx.queries
 
 
 def test_ampc_msf_contraction_shrinks(spark):
