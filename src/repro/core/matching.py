@@ -15,11 +15,13 @@ their outputs are identical to each other and to
   = 1 extra shuffle to rebuild the residual DHT).
 - :func:`ampc_matching_loglog` — Theorem 2 part 1 / Algorithm 4:
   O(log log Δ) iterations of GreedyMM over rank-prefix subgraphs.
-- :func:`mpc_maximal_matching` — rootset baseline (§5.4): per phase,
-  every vertex nominates its min-rank incident edge; edges nominated by
-  both endpoints join the matching; matched vertices and their edges
-  are removed. 4 logical shuffles per phase (nominate, pair, drop
-  matched u, drop matched v), in-memory finish below the cutoff.
+- :func:`mpc_maximal_matching` — rootset baseline (§5.4) on
+  vertex-keyed adjacency lists sorted by edge rank, as the paper's
+  Flume version: per phase, every vertex nominates its min-rank
+  neighbour; mutual nominations join the matching; matched vertices
+  delete themselves from their neighbours' lists. 2 logical shuffles
+  per phase (nominations, deletes), one barrier per phase inside
+  :func:`repro.runtime.mpc_scope`, in-memory finish below the cutoff.
 """
 from __future__ import annotations
 
@@ -27,14 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.ampc.dht import CSRStore, Meter, adaptive_round, build_sorted_adjacency
-from repro.graphs.generators import GraphData, parallel_frame
+from repro.graphs.generators import GraphData
 from repro.hashing import edge_rank
-from repro.mpc import DEFAULT_CUTOFF_EDGES
-from repro.runtime import RoundContext
+from repro.mpc import DEFAULT_CUTOFF_EDGES, adjacency_df
+from repro.runtime import RoundContext, mpc_scope
 
 
 @dataclass
@@ -293,6 +295,41 @@ def _greedy_residual_matching(edges: pd.DataFrame, seed: int) -> set[tuple[int, 
     return out
 
 
+# Shuffle 2's messages from one row, as ``(id, nbrs, partner, gone)``:
+# the row itself and, if the row is matched, a delete to each neighbour.
+_NULL = "CAST(NULL AS BIGINT)"
+_SEND = f"""inline(IF(coalesce(array_contains(by, nbrs[0]), false),
+    concat(
+        array(named_struct('id', id, 'nbrs', CAST(array() AS ARRAY<BIGINT>),
+                           'partner', nbrs[0], 'gone', {_NULL})),
+        transform(nbrs, y -> named_struct('id', y, 'nbrs', CAST(NULL AS ARRAY<BIGINT>),
+                                          'partner', {_NULL}, 'gone', id))),
+    array(named_struct('id', id, 'nbrs', nbrs, 'partner', {_NULL}, 'gone', {_NULL}))))"""
+
+
+def _rootset_phase(graph: DataFrame) -> DataFrame:
+    """One phase on the ``(id, nbrs, partner)`` relation, partitioned on
+    ``id``; each ``nbrs`` is in increasing edge rank. Only messages are
+    exchanged, never the adjacency itself.
+
+    Shuffle 1: every vertex nominates ``nbrs[0]``; the nominations,
+    grouped by target, meet the target's row, and a vertex is matched
+    iff its own ``nbrs[0]`` nominated it back. Shuffle 2: a matched
+    vertex sends a delete to each neighbour and keeps its own row with
+    its partner and no neighbours; all rows regroup by ``id`` and
+    survivors drop the deleted ids. Rows with no neighbours left (last
+    phase's matched and stranded vertices) send nothing.
+    """
+    live = graph.filter("size(nbrs) > 0")
+    noms = live.selectExpr("nbrs[0] AS id", "id AS by").groupBy("id")
+    marked = live.join(noms.agg(F.expr("collect_list(by) AS by")), "id", "left")
+    regrouped = marked.selectExpr(_SEND).groupBy("id").agg(
+        F.expr("max(nbrs) AS nbrs"), F.expr("max(partner) AS partner"),
+        F.expr("collect_list(gone) AS gone"),
+    )
+    return regrouped.selectExpr("id", "array_except(nbrs, gone) AS nbrs", "partner")
+
+
 def mpc_maximal_matching(
     spark: SparkSession,
     g: GraphData,
@@ -302,67 +339,33 @@ def mpc_maximal_matching(
     ctx: RoundContext | None = None,
     max_phases: int = 200,
 ) -> MatchingResult:
-    """Rootset MPC matching: each phase adds every edge that is the
-    minimum-rank incident edge of *both* its endpoints (the local
-    minima of the line graph), then removes matched vertices and their
-    edges. Equivalent to greedy peeling, hence to the LFMM.
+    """Rootset MPC matching on adjacency lists (the paper's Flume
+    version): each phase adds every edge that is the minimum-rank
+    incident edge of *both* its endpoints (the local minima of the line
+    graph), then removes matched vertices and their edges. Equivalent
+    to greedy peeling, hence to the LFMM.
 
-    Logical shuffles per phase: (1) per-vertex nomination regroup,
-    (2) nomination pairing keyed by edge, (3)+(4) residual regroups
-    dropping matched endpoints (by u, then by v). The paper's Flume
-    version achieves 2/phase by maintaining adjacency lists; our
-    edge-relation formulation costs 4 — recorded in EXPERIMENTS.md.
+    2 logical shuffles per phase (:func:`_rootset_phase`), run in one
+    barrier inside :func:`repro.runtime.mpc_scope`; one small collect
+    per phase returns the new matches and the residual edge count.
     Finishes in memory below ``cutoff_edges`` (paper: 5×10^7 edges).
     """
     ctx = ctx or RoundContext(model="mpc")
     matched: set[tuple[int, int]] = set()
-    # Edge relation with rank; kept as a DataFrame across phases.
-    e0 = g.edges.copy()
-    e0["r"] = edge_rank(g.u(), g.v(), seed)
-    edges = parallel_frame(
-        spark, e0[["u", "v", "r"]], "u long, v long, r double"
-    ).localCheckpoint(eager=True)
-
-    while True:
-        m_now = edges.count()
-        if m_now <= cutoff_edges:
-            break
-        if ctx.phases >= max_phases:  # pragma: no cover - safety valve
-            raise RuntimeError("mpc matching failed to converge")
-        ctx.phases += 1
-        sym = edges.select("u", "v", "r").union(
-            edges.select(F.col("v").alias("u"), F.col("u").alias("v"), "r")
-        )
-        # Each vertex nominates its min-rank incident edge; shuffle 1
-        # groups nominations by (undirected) edge — nominated twice wins.
-        per_vertex = sym.groupBy("u").agg(
-            F.min(F.struct("r", "v")).alias("best")
-        )
-        ctx.shuffle(1)  # nomination regroup keyed by vertex
-        noms = per_vertex.select(
-            F.least(F.col("u"), F.col("best.v")).alias("eu"),
-            F.greatest(F.col("u"), F.col("best.v")).alias("ev"),
-        )
-        winners = ctx.barrier(
-            noms.groupBy("eu", "ev").agg(F.count(F.lit(1)).alias("c")).filter("c = 2"),
-            shuffles=1,
-        )
-        new_matches = winners.select("eu", "ev").collect()
-        if not new_matches:  # pragma: no cover - cannot happen: minima exist
-            raise RuntimeError("no winners in a phase")
-        matched.update((int(r["eu"]), int(r["ev"])) for r in new_matches)
-        mv = winners.select(F.col("eu").alias("id")).union(
-            winners.select(F.col("ev").alias("id"))
-        )
-        # Shuffles 2+3: drop edges with a matched endpoint (anti-join on
-        # u then on v — each a regroup of the edge relation, each
-        # materialized so lineage/statistics reset per phase).
-        edges = ctx.barrier(
-            edges.join(mv, edges["u"] == mv["id"], "left_anti"), shuffles=1
-        )
-        edges = ctx.barrier(
-            edges.join(mv, edges["v"] == mv["id"], "left_anti"), shuffles=1
-        )
-
-    matched |= _greedy_residual_matching(edges.select("u", "v").toPandas(), seed)
+    with mpc_scope(spark):
+        graph = adjacency_df(spark, g, edge_rank(g.u(), g.v(), seed))
+        graph = graph.selectExpr("*", "CAST(NULL AS BIGINT) AS partner")
+        m_now = g.m
+        while m_now > cutoff_edges:
+            if ctx.phases >= max_phases:
+                raise RuntimeError("mpc matching failed to converge")
+            ctx.phases += 1
+            graph = ctx.barrier(_rootset_phase(graph), shuffles=2)
+            pairs, degrees = graph.selectExpr(
+                "collect_list(IF(id < partner, array(id, partner), NULL))", "sum(size(nbrs))"
+            ).collect()[0]
+            matched.update(map(tuple, pairs))
+            m_now = (degrees or 0) // 2
+        residual = graph.selectExpr("id AS u", "explode(nbrs) AS v").filter("u < v").toPandas()
+    matched |= _greedy_residual_matching(residual, seed)
     return MatchingResult(edges=matched, ctx=ctx)

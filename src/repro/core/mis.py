@@ -31,8 +31,8 @@ from pyspark.sql.types import (
 from repro.ampc.dht import CSRStore, Meter, adaptive_round, build_sorted_adjacency
 from repro.graphs.generators import GraphData
 from repro.hashing import hash01
-from repro.mpc import DEFAULT_CUTOFF_EDGES
-from repro.runtime import RoundContext
+from repro.mpc import DEFAULT_CUTOFF_EDGES, adjacency_df
+from repro.runtime import RoundContext, mpc_scope
 
 
 @dataclass
@@ -124,21 +124,6 @@ def ampc_mis(
 # MPC (Figure 2)
 # --------------------------------------------------------------------------
 
-def build_adjacency_df(spark: SparkSession, g: GraphData, ctx: RoundContext):
-    """PCollection<NodeId, Node> input format of Figure 2.
-
-    Input preparation — not counted against the per-phase shuffle
-    budget, mirroring the paper where the algorithm starts from the
-    adjacency-keyed graph (Table 3 counts phases only for MPC).
-    """
-    e = g.to_spark(spark)
-    sym = e.select("u", "v").union(e.select(F.col("v").alias("u"), F.col("u").alias("v")))
-    adj = sym.groupBy(F.col("u").alias("id")).agg(
-        F.sort_array(F.collect_list("v")).alias("nbrs")
-    )
-    return adj.localCheckpoint(eager=True)
-
-
 def _greedy_residual_mis(rows: pd.DataFrame, seed: int) -> set[int]:
     """In-memory finish: sequential greedy on the residual graph."""
     ids = rows["id"].to_numpy()
@@ -179,7 +164,6 @@ def mpc_mis(
     finished in memory (paper: single-machine finish below 5×10^7).
     """
     ctx = ctx or RoundContext(model="mpc")
-    graph = build_adjacency_df(spark, g, ctx)
     members: set[int] = set()
     # Isolated vertices never enter the adjacency relation but belong to
     # every MIS.
@@ -210,45 +194,47 @@ def mpc_mis(
         [StructField("rm", LongType()), StructField("is_root", BooleanType())]
     )
 
-    while True:
-        m_now = graph.agg(F.sum(F.size("nbrs"))).collect()[0][0] or 0
-        if m_now // 2 <= cutoff_edges:
-            break
-        if ctx.phases >= max_phases:  # pragma: no cover - safety valve
-            raise RuntimeError("mpc_mis failed to converge")
-        ctx.phases += 1
-        to_remove = graph.mapInPandas(find_roots, schema=rm_schema)
-        # Shuffle A: cogroup graph with to-remove ids.
-        marked = graph.join(
-            to_remove.groupBy(F.col("rm").alias("id")).agg(
-                F.max("is_root").alias("is_root")
-            ),
-            on="id",
-            how="left",
-        )
-        marked = ctx.barrier(marked, shuffles=1)
-        removed = marked.filter(F.col("is_root").isNotNull())
-        members.update(
-            r["id"] for r in removed.filter(F.col("is_root")).select("id").collect()
-        )
-        # Removed node x emits <y, x> for each neighbor y (no shuffle).
-        dels = removed.select(F.explode("nbrs").alias("id"), F.col("id").alias("gone"))
-        survivors = marked.filter(F.col("is_root").isNull()).select("id", "nbrs")
-        # Shuffle B: cogroup survivors with their deletions, update lists.
-        joined = survivors.join(
-            dels.groupBy("id").agg(F.collect_set("gone").alias("gone")),
-            on="id",
-            how="left",
-        )
-        graph = ctx.barrier(
-            joined.select(
-                "id",
-                F.when(F.col("gone").isNull(), F.col("nbrs"))
-                .otherwise(F.array_except("nbrs", "gone"))
-                .alias("nbrs"),
-            ),
-            shuffles=1,
-        )
+    with mpc_scope(spark):
+        graph = adjacency_df(spark, g)
+        while True:
+            m_now = graph.agg(F.sum(F.size("nbrs"))).collect()[0][0] or 0
+            if m_now // 2 <= cutoff_edges:
+                break
+            if ctx.phases >= max_phases:
+                raise RuntimeError("mpc_mis failed to converge")
+            ctx.phases += 1
+            to_remove = graph.mapInPandas(find_roots, schema=rm_schema)
+            # Shuffle A: cogroup graph with to-remove ids.
+            marked = graph.join(
+                to_remove.groupBy(F.col("rm").alias("id")).agg(
+                    F.max("is_root").alias("is_root")
+                ),
+                on="id",
+                how="left",
+            )
+            marked = ctx.barrier(marked, shuffles=1)
+            removed = marked.filter(F.col("is_root").isNotNull())
+            members.update(
+                r["id"] for r in removed.filter(F.col("is_root")).select("id").collect()
+            )
+            # Removed node x emits <y, x> for each neighbor y (no shuffle).
+            dels = removed.select(F.explode("nbrs").alias("id"), F.col("id").alias("gone"))
+            survivors = marked.filter(F.col("is_root").isNull()).select("id", "nbrs")
+            # Shuffle B: cogroup survivors with their deletions, update lists.
+            joined = survivors.join(
+                dels.groupBy("id").agg(F.collect_set("gone").alias("gone")),
+                on="id",
+                how="left",
+            )
+            graph = ctx.barrier(
+                joined.select(
+                    "id",
+                    F.when(F.col("gone").isNull(), F.col("nbrs"))
+                    .otherwise(F.array_except("nbrs", "gone"))
+                    .alias("nbrs"),
+                ),
+                shuffles=1,
+            )
 
-    members.update(_greedy_residual_mis(graph.toPandas(), seed))
+        members.update(_greedy_residual_mis(graph.toPandas(), seed))
     return MISResult(members=members, ctx=ctx)

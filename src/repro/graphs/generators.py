@@ -20,6 +20,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.hashing import edge_rank
+from repro.runtime import session_conf
 
 
 @dataclass(frozen=True)
@@ -74,17 +75,8 @@ def parallel_frame(spark: SparkSession, pdf: pd.DataFrame, schema: str) -> DataF
     """
     per_batch = math.ceil(len(pdf) / spark.sparkContext.defaultParallelism)
     scoped = {_LOCAL_RELATION_THRESHOLD: "0", _MAX_RECORDS_PER_BATCH: str(max(1, per_batch))}
-    saved = {key: spark.conf.get(key, None) for key in scoped}
-    try:
-        for key, value in scoped.items():
-            spark.conf.set(key, value)
+    with session_conf(spark, scoped):
         return spark.createDataFrame(pdf, schema=schema)
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                spark.conf.unset(key)
-            else:
-                spark.conf.set(key, value)
 
 
 def _canonicalize(n: int, a: np.ndarray, b: np.ndarray) -> pd.DataFrame:

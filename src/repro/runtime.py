@@ -12,9 +12,10 @@ shuffle (one cogroup), which is what Flume counts — DESIGN.md §2.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, SparkSession
 
 
 @dataclass
@@ -53,3 +54,33 @@ class RoundContext:
         """
         self.shuffle(shuffles)
         return df.localCheckpoint(eager=True)
+
+
+@contextmanager
+def session_conf(spark: SparkSession, conf: dict[str, str]):
+    """Set the session confs ``conf`` for the block and restore the
+    caller's values (or unset them) afterwards, also when it raises."""
+    saved = {key: spark.conf.get(key, None) for key in conf}
+    try:
+        for key, value in conf.items():
+            spark.conf.set(key, value)
+        yield
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                spark.conf.unset(key)
+            else:
+                spark.conf.set(key, value)
+
+
+def mpc_scope(spark: SparkSession):
+    """Session scope of an MPC phase loop: ``P = defaultParallelism``
+    shuffle partitions, one per simulated machine, and adaptive query
+    execution off. Then every barrier's output stays hash-partitioned
+    on its key into ``P`` parts through ``localCheckpoint``, and the
+    next phase joins it in place instead of exchanging it again
+    (DESIGN.md §2, "MPC loop scope")."""
+    return session_conf(spark, {
+        "spark.sql.shuffle.partitions": str(spark.sparkContext.defaultParallelism),
+        "spark.sql.adaptive.enabled": "false",
+    })

@@ -51,6 +51,25 @@ class TestCSRStore:
         assert nbrs.tolist() == [7, 3, 4, 9]  # tied keys 0.5 ordered by dst
         assert keys.tolist() == [0.1, 0.5, 0.5, 0.5]
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("dst_offset", [0, 1 << 50], ids=["packed", "wide_ids"])
+    def test_order_equals_three_key_lexsort(self, seed, dst_offset):
+        """Rows come out exactly in ``lexsort((dst, key, src))`` order,
+        on tied weights in {1, 2, 3} and on edge ranks, also when the ids
+        are too wide to pack ``(src, key rank, dst)`` into one int64."""
+        g = gen.chung_lu(400, 8, 2.2, seed=seed)
+        perm = np.random.default_rng(seed).permutation(2 * g.m)
+        src, dst = np.r_[g.u(), g.v()][perm], np.r_[g.v(), g.u()][perm]
+        tied = np.random.default_rng(seed).integers(1, 4, g.m).astype(np.float64)
+        keys = (np.r_[tied, tied][perm], edge_rank(src, dst, seed))
+        dst = dst + dst_offset
+        for key in keys:
+            store = CSRStore.from_rows(src, dst, key)
+            order = np.lexsort((dst, key, src))
+            assert np.array_equal(store.indptr, np.r_[0, np.cumsum(np.bincount(src))])
+            assert np.array_equal(store.dst, dst[order])
+            assert np.array_equal(store.key, key[order])
+
     def test_missing_and_out_of_range_rows_empty(self):
         store = CSRStore.from_rows(np.array([0, 3]), np.array([3, 0]), np.array([1.0, 1.0]))
         for x in (1, 2, 4, 10**9, -1):

@@ -1,4 +1,6 @@
 """Maximal matching: AMPC (both Theorem 2 variants) + MPC vs greedy oracle."""
+import re
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -11,6 +13,7 @@ from repro.core.matching import (
     ampc_maximal_matching,
     mpc_maximal_matching,
 )
+from repro.core.mis import mpc_mis
 from repro.graphs import generators as gen
 from repro.hashing import edge_rank
 from repro.runtime import RoundContext
@@ -147,7 +150,91 @@ def test_mpc_matching_shuffle_accounting(spark):
     ctx = RoundContext(model="mpc")
     mpc_maximal_matching(spark, g, seed=0, cutoff_edges=0, ctx=ctx)
     assert ctx.phases >= 1
-    assert ctx.shuffles == 4 * ctx.phases
+    assert ctx.shuffles == 2 * ctx.phases
+
+
+class _PlanCtx(RoundContext):
+    """Records the executed plan of every barrier."""
+
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self.plans: list[str] = []
+
+    def barrier(self, df, shuffles=1):
+        self.plans.append(df._jdf.queryExecution().executedPlan().toString())
+        return super().barrier(df, shuffles)
+
+
+def test_mpc_matching_phase_plan_has_two_exchanges(spark):
+    """Each phase is one barrier whose executed plan exchanges exactly
+    its 2 logical shuffles, each over partially aggregated messages:
+    the adjacency relation keeps its partitioning on ``id`` through
+    ``localCheckpoint`` and is never exchanged again."""
+    g = gen.chung_lu(90, 6, 2.2, seed=1)
+    ctx = _PlanCtx(model="mpc")
+    mpc_maximal_matching(spark, g, seed=0, cutoff_edges=0, ctx=ctx)
+    assert len(ctx.plans) == ctx.phases >= 2
+    for plan in ctx.plans:
+        lines = plan.splitlines()
+        exchanges = [i for i, line in enumerate(lines) if re.match(r"[\s:+-]*Exchange ", line)]
+        assert len(exchanges) == 2, plan
+        assert all("partial_" in lines[i + 1] for i in exchanges), plan
+
+
+def _star(leaves):
+    return gen.GraphData(
+        n=leaves + 1,
+        edges=pd.DataFrame({"u": np.zeros(leaves, np.int64), "v": np.arange(1, leaves + 1)}),
+    )
+
+
+def _components():
+    a, b = gen.chung_lu(60, 5, 2.2, seed=1), gen.chung_lu(40, 4, 2.2, seed=2)
+    edges = pd.concat([a.edges, b.edges + a.n], ignore_index=True)
+    return gen.GraphData(n=a.n + b.n, edges=edges)
+
+
+SHAPES = [
+    ("star", _star(8)),
+    ("path", _path(9)),
+    ("disjoint_edges", gen.GraphData(
+        n=10, edges=pd.DataFrame({"u": np.arange(0, 10, 2), "v": np.arange(1, 10, 2)}))),
+    ("isolated", gen.GraphData(n=12, edges=gen.cycle(7, offset=2))),
+    ("two_components", _components()),
+]
+
+
+@pytest.mark.parametrize("name,g", SHAPES, ids=[n for n, _ in SHAPES])
+@pytest.mark.parametrize("mid_cutoff", [False, True], ids=["cutoff0", "cutoff_mid"])
+def test_mpc_matching_shapes_equal_greedy(spark, name, g, mid_cutoff):
+    ctx = RoundContext(model="mpc")
+    cutoff = g.m // 2 if mid_cutoff else 0
+    got = mpc_maximal_matching(spark, g, seed=0, cutoff_edges=cutoff, ctx=ctx).edges
+    assert got == ref.greedy_matching(g.n, g.u(), g.v(), 0)
+    assert ctx.phases >= 1 and ctx.shuffles == 2 * ctx.phases
+
+
+_SCOPED = ("spark.sql.shuffle.partitions", "spark.sql.adaptive.enabled")
+
+
+@pytest.mark.parametrize("fn", [mpc_maximal_matching, mpc_mis], ids=["matching", "mis"])
+def test_mpc_loop_restores_session_conf(spark, fn):
+    """The MPC loop scope pins its confs only inside the call, and the
+    caller's values come back also when the call raises."""
+    saved = {key: spark.conf.get(key) for key in _SCOPED}
+    caller = {"spark.sql.shuffle.partitions": "7", "spark.sql.adaptive.enabled": "true"}
+    g = gen.chung_lu(60, 5, 2.2, seed=1)
+    try:
+        for key, value in caller.items():
+            spark.conf.set(key, value)
+        fn(spark, g, seed=0, cutoff_edges=0)
+        assert {key: spark.conf.get(key) for key in _SCOPED} == caller
+        with pytest.raises(RuntimeError, match="converge"):
+            fn(spark, g, seed=0, cutoff_edges=0, max_phases=0)
+        assert {key: spark.conf.get(key) for key in _SCOPED} == caller
+    finally:
+        for key, value in saved.items():
+            spark.conf.set(key, value)
 
 
 def test_mpc_matching_cutoff_pure_inmemory(spark):
