@@ -10,8 +10,9 @@
   row.
 - :func:`mpc_cycle_cc` — the MPC baseline: iterated random-mate local
   contraction; each iteration shrinks the cycle by a constant factor
-  and costs 3 shuffles (mate selection, relabel-u, relabel-v); the
-  residual is solved on one machine below the cutoff. The paper's
+  and costs 3 shuffles (mate selection, then relabel-u and relabel-v in
+  the relabel step it shares with MPC MSF, :func:`repro.mpc.relabel`);
+  the residual is solved on one machine below the cutoff. The paper's
   baseline (CC-LocalContraction) shrinks ~2.6-3x per iteration; random
   mate shrinks ~1.6x — a conservative deviation recorded in DESIGN.md §5.
 """
@@ -28,7 +29,7 @@ from pyspark.sql.types import LongType, StructField, StructType
 from repro.ampc.dht import adaptive_round, build_sorted_adjacency
 from repro.graphs.generators import GraphData, parallel_frame
 from repro.hashing import hash01, splitmix64
-from repro.mpc import DEFAULT_CUTOFF_EDGES
+from repro.mpc import DEFAULT_CUTOFF_EDGES, relabel
 from repro.reference import UnionFind
 from repro.runtime import RoundContext
 
@@ -115,19 +116,21 @@ def mpc_cycle_cc(
     """MPC connectivity baseline on cycle graphs via random-mate
     contraction. Per iteration: every vertex flips a deterministic
     coin; each tail vertex adjacent to a head merges into its minimum
-    head neighbor. 3 shuffles per iteration. Counts components of the
-    collected residual (self-loops retained so fully-contracted cycles
-    stay visible). Raises ``ValueError`` on the driver unless every
-    vertex has degree 2."""
+    head neighbor. 3 shuffles per iteration; the relabel drops
+    contracted self-loops, so a fully contracted cycle leaves the
+    relation. Components are counted as ``n`` minus the merges: one per
+    mapping row (a tail merges into a head, heads never move) and one
+    per union in the in-memory finish. Raises ``ValueError`` on the
+    driver unless every vertex has degree 2."""
     _check_2_regular(g)
     ctx = ctx or RoundContext(model="mpc")
     edges = parallel_frame(
         spark, pd.DataFrame({"cu": g.u(), "cv": g.v()}), "cu long, cv long"
     ).localCheckpoint(eager=True)
+    merged = 0
 
     while True:
-        alive = edges.filter("cu <> cv").count()
-        if alive <= cutoff_edges:
+        if edges.count() <= cutoff_edges:
             break
         if ctx.phases >= max_phases:  # pragma: no cover - safety valve
             raise RuntimeError("cycle contraction failed to converge")
@@ -135,12 +138,8 @@ def mpc_cycle_cc(
         phase = ctx.phases
 
         # Shuffle 1: per-tail minimum head neighbor.
-        sym = edges.filter("cu <> cv").select(
-            F.col("cu").alias("c"), F.col("cv").alias("other")
-        ).union(
-            edges.filter("cu <> cv").select(
-                F.col("cv").alias("c"), F.col("cu").alias("other")
-            )
+        sym = edges.select(F.col("cu").alias("c"), F.col("cv").alias("other")).union(
+            edges.select(F.col("cv").alias("c"), F.col("cu").alias("other"))
         )
         grouped = sym.groupBy("c").agg(F.collect_list("other").alias("nbrs"))
         ctx.shuffle(1)
@@ -161,36 +160,12 @@ def mpc_cycle_cc(
         mate_schema = StructType(
             [StructField("old", LongType()), StructField("new", LongType())]
         )
-        # Materialize the mate mapping to the driver and re-create it as
-        # a LocalRelation: both join inputs below would otherwise derive
-        # from `edges`, so Catalyst's join size estimate would *square*
-        # every phase and overflow BigInteger after ~30 phases
-        # (localCheckpoint preserves estimated stats). The mapping is
-        # small (≤ 3/8 of current vertices) and shrinks geometrically.
-        mapping_pdf = grouped.mapInPandas(pick_mate, schema=mate_schema).toPandas()
-        if len(mapping_pdf) == 0:
+        mapping = grouped.mapInPandas(pick_mate, schema=mate_schema).toPandas()
+        if len(mapping) == 0:
             continue  # unlucky coloring: nothing contracted this phase
-        mapping = spark.createDataFrame(mapping_pdf)
-
-        # Shuffles 2+3: relabel both endpoints. Each join is materialized
-        # (barrier) so lineage — and Catalyst's multiplicative size
-        # statistics, which overflow after tens of stacked joins — reset
-        # every phase.
-        e2 = edges.join(
-            mapping.withColumnRenamed("old", "cu").withColumnRenamed("new", "nu"),
-            on="cu",
-            how="left",
-        )
-        e2 = ctx.barrier(e2, shuffles=1)
-        e2 = e2.join(
-            mapping.withColumnRenamed("old", "cv").withColumnRenamed("new", "nv"),
-            on="cv",
-            how="left",
-        )
-        e2 = e2.select(
-            F.coalesce("nu", "cu").alias("cu"), F.coalesce("nv", "cv").alias("cv")
-        )
-        edges = ctx.barrier(e2, shuffles=1)
+        merged += len(mapping)
+        # Shuffles 2+3: relabel both endpoints.
+        edges = relabel(spark, ctx, edges, mapping)
 
     rest = edges.toPandas()
     labels = pd.unique(pd.concat([rest["cu"], rest["cv"]]))
@@ -198,7 +173,8 @@ def mpc_cycle_cc(
     uf = UnionFind(len(labels))
     for a, b in zip(rest["cu"].tolist(), rest["cv"].tolist()):
         uf.union(lut[int(a)], lut[int(b)])
-    return CycleResult(n_components=uf.n_components, ctx=ctx)
+    merged += len(labels) - uf.n_components
+    return CycleResult(n_components=g.n - merged, ctx=ctx)
 
 
 def _heads(xs: np.ndarray, phase: int, seed: int) -> np.ndarray:

@@ -20,8 +20,9 @@ their outputs are identical to each other and to
   Flume version: per phase, every vertex nominates its min-rank
   neighbour; mutual nominations join the matching; matched vertices
   delete themselves from their neighbours' lists. 2 logical shuffles
-  per phase (nominations, deletes), one barrier per phase inside
-  :func:`repro.runtime.mpc_scope`, in-memory finish below the cutoff.
+  per phase (nominations, deletes) in the rootset phase and loop it
+  shares with MPC MIS (:func:`repro.mpc.rootset_loop`), in-memory
+  finish below the cutoff.
 """
 from __future__ import annotations
 
@@ -29,14 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+from pyspark.sql import SparkSession
 
 from repro.ampc.dht import CSRStore, Meter, adaptive_round, build_sorted_adjacency
 from repro.graphs.generators import GraphData
 from repro.hashing import edge_rank
-from repro.mpc import DEFAULT_CUTOFF_EDGES, adjacency_df
-from repro.runtime import RoundContext, mpc_scope
+from repro.mpc import DEFAULT_CUTOFF_EDGES, RootsetRule, rootset_loop
+from repro.runtime import RoundContext
 
 
 @dataclass
@@ -281,9 +281,14 @@ def vertex_cover_from_matching(m: set[tuple[int, int]]) -> set[int]:
 # --------------------------------------------------------------------------
 
 
-def _greedy_residual_matching(edges: pd.DataFrame, seed: int) -> set[tuple[int, int]]:
-    u = edges["u"].to_numpy()
-    v = edges["v"].to_numpy()
+def _greedy_residual_matching(rows: pd.DataFrame, seed: int) -> set[tuple[int, int]]:
+    """In-memory finish: greedy over the edges of the residual ``(id,
+    nbrs)`` rows by increasing edge rank."""
+    nbrs = rows["nbrs"].tolist()
+    u = np.repeat(rows["id"].to_numpy(), [len(x) for x in nbrs])
+    v = np.concatenate(nbrs + [np.zeros(0, np.int64)]).astype(np.int64)
+    keep = u < v
+    u, v = u[keep], v[keep]
     order = np.argsort(edge_rank(u, v, seed), kind="stable")
     matched: set[int] = set()
     out: set[tuple[int, int]] = set()
@@ -295,39 +300,16 @@ def _greedy_residual_matching(edges: pd.DataFrame, seed: int) -> set[tuple[int, 
     return out
 
 
-# Shuffle 2's messages from one row, as ``(id, nbrs, partner, gone)``:
-# the row itself and, if the row is matched, a delete to each neighbour.
-_NULL = "CAST(NULL AS BIGINT)"
-_SEND = f"""inline(IF(coalesce(array_contains(by, nbrs[0]), false),
-    concat(
-        array(named_struct('id', id, 'nbrs', CAST(array() AS ARRAY<BIGINT>),
-                           'partner', nbrs[0], 'gone', {_NULL})),
-        transform(nbrs, y -> named_struct('id', y, 'nbrs', CAST(NULL AS ARRAY<BIGINT>),
-                                          'partner', {_NULL}, 'gone', id))),
-    array(named_struct('id', id, 'nbrs', nbrs, 'partner', {_NULL}, 'gone', {_NULL}))))"""
-
-
-def _rootset_phase(graph: DataFrame) -> DataFrame:
-    """One phase on the ``(id, nbrs, partner)`` relation, partitioned on
-    ``id``; each ``nbrs`` is in increasing edge rank. Only messages are
-    exchanged, never the adjacency itself.
-
-    Shuffle 1: every vertex nominates ``nbrs[0]``; the nominations,
-    grouped by target, meet the target's row, and a vertex is matched
-    iff its own ``nbrs[0]`` nominated it back. Shuffle 2: a matched
-    vertex sends a delete to each neighbour and keeps its own row with
-    its partner and no neighbours; all rows regroup by ``id`` and
-    survivors drop the deleted ids. Rows with no neighbours left (last
-    phase's matched and stranded vertices) send nothing.
-    """
-    live = graph.filter("size(nbrs) > 0")
-    noms = live.selectExpr("nbrs[0] AS id", "id AS by").groupBy("id")
-    marked = live.join(noms.agg(F.expr("collect_list(by) AS by")), "id", "left")
-    regrouped = marked.selectExpr(_SEND).groupBy("id").agg(
-        F.expr("max(nbrs) AS nbrs"), F.expr("max(partner) AS partner"),
-        F.expr("collect_list(gone) AS gone"),
-    )
-    return regrouped.selectExpr("id", "array_except(nbrs, gone) AS nbrs", "partner")
+# Every live vertex nominates its min-rank neighbour ``nbrs[0]`` and is
+# matched iff that neighbour nominated it back; a matched row records
+# its partner. Rows with no neighbours left (matched or stranded) are
+# done.
+_MATCHING = RootsetRule(
+    live="size(nbrs) > 0",
+    target="get(nbrs, 0)",
+    result="IF(array_contains(by, get(nbrs, 0)), get(nbrs, 0), NULL)",
+    collect="collect_list(IF(id < res, array(id, res), NULL))",
+)
 
 
 def mpc_maximal_matching(
@@ -345,27 +327,14 @@ def mpc_maximal_matching(
     graph), then removes matched vertices and their edges. Equivalent
     to greedy peeling, hence to the LFMM.
 
-    2 logical shuffles per phase (:func:`_rootset_phase`), run in one
-    barrier inside :func:`repro.runtime.mpc_scope`; one small collect
-    per phase returns the new matches and the residual edge count.
-    Finishes in memory below ``cutoff_edges`` (paper: 5×10^7 edges).
+    2 logical shuffles per phase (nominations, deletes) in the rootset
+    phase and loop shared with MPC MIS (:func:`repro.mpc.rootset_loop`);
+    finishes in memory below ``cutoff_edges`` (paper: 5×10^7 edges).
     """
     ctx = ctx or RoundContext(model="mpc")
-    matched: set[tuple[int, int]] = set()
-    with mpc_scope(spark):
-        graph = adjacency_df(spark, g, edge_rank(g.u(), g.v(), seed))
-        graph = graph.selectExpr("*", "CAST(NULL AS BIGINT) AS partner")
-        m_now = g.m
-        while m_now > cutoff_edges:
-            if ctx.phases >= max_phases:
-                raise RuntimeError("mpc matching failed to converge")
-            ctx.phases += 1
-            graph = ctx.barrier(_rootset_phase(graph), shuffles=2)
-            pairs, degrees = graph.selectExpr(
-                "collect_list(IF(id < partner, array(id, partner), NULL))", "sum(size(nbrs))"
-            ).collect()[0]
-            matched.update(map(tuple, pairs))
-            m_now = (degrees or 0) // 2
-        residual = graph.selectExpr("id AS u", "explode(nbrs) AS v").filter("u < v").toPandas()
-    matched |= _greedy_residual_matching(residual, seed)
+    pairs, residual = rootset_loop(
+        spark, g, ctx, _MATCHING, rank=edge_rank(g.u(), g.v(), seed),
+        cutoff_edges=cutoff_edges, max_phases=max_phases, name="mpc matching",
+    )
+    matched = set(map(tuple, pairs)) | _greedy_residual_matching(residual, seed)
     return MatchingResult(edges=matched, ctx=ctx)

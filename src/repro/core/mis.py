@@ -10,29 +10,23 @@ each other and to ``repro.reference.greedy_mis``.
   graph and writes it to the DHT; one adaptive round runs the
   Yoshida-style recursive query process with a per-partition (i.e.
   per-machine) memo cache.
-- :func:`mpc_mis` — Figure 2: rootset peeling, 2 logical shuffles per
-  phase, switching to an in-memory finish below a cutoff.
+- :func:`mpc_mis` — Figure 2: rootset peeling on vertices renamed to
+  their π positions, 2 logical shuffles per phase in the rootset phase
+  it shares with MPC matching (:func:`repro.mpc.rootset_phase`),
+  switching to an in-memory finish below a cutoff.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
-from pyspark.sql.types import (
-    BooleanType,
-    LongType,
-    StructField,
-    StructType,
-)
 
 from repro.ampc.dht import CSRStore, Meter, adaptive_round, build_sorted_adjacency
 from repro.graphs.generators import GraphData
 from repro.hashing import hash01
-from repro.mpc import DEFAULT_CUTOFF_EDGES, adjacency_df
-from repro.runtime import RoundContext, mpc_scope
+from repro.mpc import DEFAULT_CUTOFF_EDGES, RootsetRule, rootset_loop
+from repro.runtime import RoundContext
 
 
 @dataclass
@@ -124,24 +118,30 @@ def ampc_mis(
 # MPC (Figure 2)
 # --------------------------------------------------------------------------
 
-def _greedy_residual_mis(rows: pd.DataFrame, seed: int) -> set[int]:
-    """In-memory finish: sequential greedy on the residual graph."""
-    ids = rows["id"].to_numpy()
-    ranks = hash01(ids, seed)
-    order = np.argsort(ranks, kind="stable")
-    nbr_lists = rows["nbrs"].tolist()
-    alive = set(ids.tolist())
-    taken: set[int] = set()
+# Vertices are named by their π position, so each ``nbrs`` list is in π
+# order and a root, a vertex earlier in π than all its neighbours, is
+# one comparison. Roots notify their neighbours; a vertex is removed iff
+# it is a root or was notified, and records the root that removed it
+# (itself, if a root). A survivor with no neighbours left is a root.
+_ROOT = "coalesce(id < get(nbrs, 0), true)"
+_MIS = RootsetRule(
+    live="res IS NULL",
+    target=f"explode(IF({_ROOT}, nbrs, NULL))",
+    result=f"IF({_ROOT}, id, array_min(by))",
+    collect="collect_list(IF(res = id, id, NULL))",
+)
+
+
+def _greedy_residual_mis(rows) -> list[int]:
+    """In-memory finish: sequential greedy on the residual ``(id,
+    nbrs)`` rows in position order."""
+    rows = rows.sort_values("id")
+    taken: list[int] = []
     blocked: set[int] = set()
-    by_id = {int(i): np.asarray(nb, dtype=np.int64) for i, nb in zip(ids, nbr_lists)}
-    for idx in order.tolist():
-        x = int(ids[idx])
-        if x in blocked:
-            continue
-        taken.add(x)
-        for y in by_id[x].tolist():
-            if y in alive:
-                blocked.add(int(y))
+    for x, nbrs in zip(rows["id"].tolist(), rows["nbrs"].tolist()):
+        if x not in blocked:
+            taken.append(x)
+            blocked.update(nbrs)
     return taken
 
 
@@ -156,85 +156,26 @@ def mpc_mis(
 ) -> MISResult:
     """Rootset-based MPC MIS (Figure 2): 2 logical shuffles per phase.
 
-    Per phase: (1) roots = local rank minima, found *without* a shuffle
-    because priorities are hash-derived; (2) shuffle A joins the graph
-    with the to-remove ids (roots + their neighbors); (3) removed rows
-    emit per-neighbor deletions, cogrouped with the survivors in
-    shuffle B. Below ``cutoff_edges`` the residual is collected and
-    finished in memory (paper: single-machine finish below 5×10^7).
+    Each vertex is first renamed on the driver to its position in π
+    (uncounted input preparation, like the adjacency build; every
+    machine can hash any id). Per phase (:func:`repro.mpc.rootset_phase`):
+    roots, the local π minima, need no shuffle; shuffle 1 notifies their
+    neighbours; shuffle 2 sends each removed vertex's deletes to its
+    neighbours. Below ``cutoff_edges`` the residual is finished in
+    memory (paper: single-machine finish below 5×10^7).
     """
     ctx = ctx or RoundContext(model="mpc")
-    members: set[int] = set()
+    order = np.argsort(hash01(np.arange(g.n), seed), kind="stable")
+    pos = np.empty(g.n, dtype=np.int64)
+    pos[order] = np.arange(g.n)
+    a, b = pos[g.u()], pos[g.v()]
+    renamed = GraphData(n=g.n, edges=g.edges.assign(u=np.minimum(a, b), v=np.maximum(a, b)))
+    roots, residual = rootset_loop(
+        spark, renamed, ctx, _MIS,
+        cutoff_edges=cutoff_edges, max_phases=max_phases, name="mpc_mis",
+    )
     # Isolated vertices never enter the adjacency relation but belong to
     # every MIS.
-    deg = np.zeros(g.n, dtype=np.int64)
-    np.add.at(deg, g.u(), 1)
-    np.add.at(deg, g.v(), 1)
-    members.update(np.flatnonzero(deg == 0).tolist())
-
-    def find_roots(batches):
-        for pdf in batches:
-            ids = pdf["id"].to_numpy()
-            nbrs = pdf["nbrs"].tolist()
-            flat = np.concatenate(nbrs + [np.zeros(0, np.int64)])
-            owner = np.repeat(np.arange(len(ids)), [len(x) for x in nbrs])
-            nbr_min = np.full(len(ids), np.inf)
-            np.minimum.at(nbr_min, owner, hash01(flat, seed))
-            # Roots (local rank minima) remove themselves and every neighbor.
-            root = hash01(ids, seed) < nbr_min
-            nb_rows = root[owner]
-            yield pd.DataFrame(
-                {
-                    "rm": np.concatenate([ids[root], flat[nb_rows]]),
-                    "is_root": np.repeat([True, False], [root.sum(), nb_rows.sum()]),
-                }
-            )
-
-    rm_schema = StructType(
-        [StructField("rm", LongType()), StructField("is_root", BooleanType())]
-    )
-
-    with mpc_scope(spark):
-        graph = adjacency_df(spark, g)
-        while True:
-            m_now = graph.agg(F.sum(F.size("nbrs"))).collect()[0][0] or 0
-            if m_now // 2 <= cutoff_edges:
-                break
-            if ctx.phases >= max_phases:
-                raise RuntimeError("mpc_mis failed to converge")
-            ctx.phases += 1
-            to_remove = graph.mapInPandas(find_roots, schema=rm_schema)
-            # Shuffle A: cogroup graph with to-remove ids.
-            marked = graph.join(
-                to_remove.groupBy(F.col("rm").alias("id")).agg(
-                    F.max("is_root").alias("is_root")
-                ),
-                on="id",
-                how="left",
-            )
-            marked = ctx.barrier(marked, shuffles=1)
-            removed = marked.filter(F.col("is_root").isNotNull())
-            members.update(
-                r["id"] for r in removed.filter(F.col("is_root")).select("id").collect()
-            )
-            # Removed node x emits <y, x> for each neighbor y (no shuffle).
-            dels = removed.select(F.explode("nbrs").alias("id"), F.col("id").alias("gone"))
-            survivors = marked.filter(F.col("is_root").isNull()).select("id", "nbrs")
-            # Shuffle B: cogroup survivors with their deletions, update lists.
-            joined = survivors.join(
-                dels.groupBy("id").agg(F.collect_set("gone").alias("gone")),
-                on="id",
-                how="left",
-            )
-            graph = ctx.barrier(
-                joined.select(
-                    "id",
-                    F.when(F.col("gone").isNull(), F.col("nbrs"))
-                    .otherwise(F.array_except("nbrs", "gone"))
-                    .alias("nbrs"),
-                ),
-                shuffles=1,
-            )
-
-        members.update(_greedy_residual_mis(graph.toPandas(), seed))
-    return MISResult(members=members, ctx=ctx)
+    isolated = np.flatnonzero(np.bincount(np.concatenate([a, b]), minlength=g.n) == 0)
+    found = roots + _greedy_residual_mis(residual) + isolated.tolist()
+    return MISResult(members=set(order[found].tolist()), ctx=ctx)

@@ -41,7 +41,7 @@ from pyspark.sql import functions as F
 from repro.ampc.dht import CSRStore, Meter, adaptive_round, build_sorted_adjacency
 from repro.graphs.generators import GraphData, parallel_frame
 from repro.hashing import coin, hash01
-from repro.mpc import DEFAULT_CUTOFF_EDGES
+from repro.mpc import DEFAULT_CUTOFF_EDGES, relabel
 from repro.reference import UnionFind
 from repro.runtime import RoundContext
 
@@ -283,36 +283,11 @@ def mpc_msf(
         for i in np.flatnonzero(sel).tolist():
             uu, vv = int(bp["e"].iloc[i]["u"]), int(bp["e"].iloc[i]["v"])
             msf_edges.add((min(uu, vv), max(uu, vv)))
-        mapping_pdf = pd.DataFrame(
-            {"old": comps[sel], "new": others[sel]}
-        ).drop_duplicates("old")
-        if len(mapping_pdf) == 0:
+        mapping = pd.DataFrame({"old": comps[sel], "new": others[sel]}).drop_duplicates("old")
+        if len(mapping) == 0:
             continue  # unlucky coloring: phase contracted nothing
-        mapping = spark.createDataFrame(mapping_pdf)
-
-        # Shuffles 2+3: relabel both endpoints' components. Each join is
-        # materialized so lineage and Catalyst size statistics reset
-        # every phase (stacked un-materialized joins overflow the stat
-        # estimator after tens of phases).
-        e2 = edges.join(
-            mapping.withColumnRenamed("old", "cu").withColumnRenamed("new", "nu"),
-            on="cu",
-            how="left",
-        )
-        e2 = ctx.barrier(e2, shuffles=1)
-        e2 = e2.join(
-            mapping.withColumnRenamed("old", "cv").withColumnRenamed("new", "nv"),
-            on="cv",
-            how="left",
-        )
-        e2 = e2.select(
-            "u",
-            "v",
-            "w",
-            F.coalesce("nu", "cu").alias("cu"),
-            F.coalesce("nv", "cv").alias("cv"),
-        ).filter("cu <> cv")
-        edges = ctx.barrier(e2, shuffles=1)
+        # Shuffles 2+3: relabel both endpoints' components.
+        edges = relabel(spark, ctx, edges, mapping)
 
     # In-memory finish on the contracted residual.
     rest = edges.select("u", "v", "w", "cu", "cv").toPandas()

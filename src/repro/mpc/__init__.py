@@ -1,14 +1,19 @@
-"""MPC substrate: the in-memory cutoff and the rootset algorithms'
-adjacency input. Shuffle accounting and the phase loops' session scope
-are in :mod:`repro.runtime`; each algorithm applies the cutoff itself.
+"""MPC substrate: the in-memory cutoff, the rootset algorithms'
+adjacency input, their shared phase and phase loop, and the relabel
+step of the contraction loops. Shuffle accounting and the phase loops'
+session scope are in :mod:`repro.runtime`.
 """
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.graphs.generators import GraphData, parallel_frame
+from repro.runtime import RoundContext, mpc_scope
 
 #: Scaled in-memory cutoff: the paper switches to a single machine below
 #: 5×10^7 edges on graphs of up to 2.3×10^11 edges (ratio ~2×10^-4 of
@@ -39,3 +44,109 @@ def adjacency_df(spark: SparkSession, g: GraphData, rank: np.ndarray | None = No
     return sym.groupBy(F.col("u").alias("id")).agg(
         F.expr("transform(array_sort(collect_list(struct(r, v))), s -> s.v) AS nbrs")
     ).localCheckpoint(eager=True)
+
+
+class RootsetRule(NamedTuple):
+    """What a rootset algorithm decides per phase, as SQL over the
+    ``(id, nbrs, res)`` relation of :func:`rootset_phase`."""
+
+    #: Rows that take part in the phase.
+    live: str
+    #: Shuffle 1: the vertex (or, through ``explode``, vertices) a live
+    #: row sends its id to.
+    target: str
+    #: The row's result from ``id``, ``nbrs`` and ``by``, the ids that
+    #: targeted it (NULL if none). A non-NULL result removes the row.
+    result: str
+    #: Aggregate the driver collects after each phase.
+    collect: str
+
+
+# Shuffle 2's messages from one row, as ``(id, nbrs, res, gone)``: a
+# survivor resends its row; a removed row keeps its own row with its
+# result and no neighbours, and sends a delete to each neighbour.
+_SEND = """inline(IF(res IS NULL,
+    array(named_struct('id', id, 'nbrs', nbrs, 'res', res, 'gone', CAST(NULL AS BIGINT))),
+    concat(
+        array(named_struct('id', id, 'nbrs', CAST(array() AS ARRAY<BIGINT>),
+                           'res', res, 'gone', CAST(NULL AS BIGINT))),
+        transform(nbrs, y -> named_struct('id', y, 'nbrs', CAST(NULL AS ARRAY<BIGINT>),
+                                          'res', CAST(NULL AS BIGINT), 'gone', id)))))"""
+
+
+def rootset_phase(graph: DataFrame, rule: RootsetRule) -> DataFrame:
+    """One phase on the ``(id, nbrs, res)`` relation, partitioned on
+    ``id``. Only messages are exchanged, never the adjacency itself.
+
+    Shuffle 1: every live row sends its id to ``rule.target``; the
+    senders, grouped by target, meet the target's row as ``by``, and
+    ``rule.result`` decides the row. Shuffle 2: removed rows send
+    deletes (:data:`_SEND`); all rows regroup by ``id`` and survivors
+    drop the deleted ids.
+    """
+    live = graph.filter(rule.live)
+    msgs = live.selectExpr(f"{rule.target} AS id", "id AS by").groupBy("id")
+    marked = live.join(msgs.agg(F.expr("collect_list(by) AS by")), "id", "left")
+    regrouped = marked.selectExpr("id", "nbrs", f"{rule.result} AS res").selectExpr(_SEND)
+    return regrouped.groupBy("id").agg(
+        F.expr("max(nbrs) AS nbrs"), F.expr("max(res) AS res"),
+        F.expr("collect_list(gone) AS gone"),
+    ).selectExpr("id", "array_except(nbrs, gone) AS nbrs", "res")
+
+
+def rootset_loop(
+    spark: SparkSession,
+    g: GraphData,
+    ctx: RoundContext,
+    rule: RootsetRule,
+    *,
+    rank: np.ndarray | None = None,
+    cutoff_edges: int,
+    max_phases: int,
+    name: str,
+) -> tuple[list, pd.DataFrame]:
+    """Run :func:`rootset_phase` on ``adjacency_df(spark, g, rank)``
+    until at most ``cutoff_edges`` edges are left (paper: 5×10^7).
+
+    Each phase is one barrier of 2 logical shuffles inside
+    :func:`repro.runtime.mpc_scope`, then one aggregate ``collect`` of
+    ``rule.collect`` and the residual degree sum. Returns the collected
+    values of every phase, concatenated, and the live ``(id, nbrs)``
+    rows for the caller's in-memory finish.
+    """
+    found: list = []
+    with mpc_scope(spark):
+        graph = adjacency_df(spark, g, rank).selectExpr("*", "CAST(NULL AS BIGINT) AS res")
+        m_now = g.m
+        while m_now > cutoff_edges:
+            if ctx.phases >= max_phases:
+                raise RuntimeError(f"{name} failed to converge")
+            ctx.phases += 1
+            graph = ctx.barrier(rootset_phase(graph, rule), shuffles=2)
+            values, degrees = graph.selectExpr(rule.collect, "sum(size(nbrs))").collect()[0]
+            found.extend(values)
+            m_now = (degrees or 0) // 2
+        residual = graph.filter(rule.live).select("id", "nbrs").toPandas()
+    return found, residual
+
+
+def relabel(
+    spark: SparkSession, ctx: RoundContext, edges: DataFrame, mapping: pd.DataFrame
+) -> DataFrame:
+    """Shuffles 2+3 of a contraction phase: rename the endpoint labels
+    ``cu`` and ``cv`` of ``edges`` through ``mapping`` (``old → new``),
+    drop the contracted self-loops and keep every other column.
+
+    ``mapping`` comes from the driver, where it is small and shrinks
+    every phase, as a ``LocalRelation``: if both join inputs derived
+    from ``edges``, Catalyst's join size estimate would *square* every
+    phase and overflow BigInteger after ~30 phases (``localCheckpoint``
+    keeps estimated statistics). Each join is a barrier, so lineage and
+    those statistics reset every phase.
+    """
+    m = spark.createDataFrame(mapping)
+    e = ctx.barrier(edges.join(m.selectExpr("old AS cu", "new AS nu"), "cu", "left"), shuffles=1)
+    e = e.join(m.selectExpr("old AS cv", "new AS nv"), "cv", "left")
+    rest = [c for c in edges.columns if c not in ("cu", "cv")]
+    e = e.select(*rest, F.coalesce("nu", "cu").alias("cu"), F.coalesce("nv", "cv").alias("cv"))
+    return ctx.barrier(e.filter("cu <> cv"), shuffles=1)

@@ -16,11 +16,25 @@ def test_ampc_cycle_answer(spark, n, two):
     assert res.n_components == (2 if two else 1)
 
 
-@pytest.mark.parametrize("two", [False, True])
-def test_mpc_cycle_answer(spark, two):
-    g = gen.cycle_graph(600, two=two)
-    res = mpc_cycle_cc(spark, g, seed=0, cutoff_edges=50)
-    assert res.n_components == (2 if two else 1)
+def _cycles(*sizes):
+    offsets = np.cumsum((0,) + sizes[:-1])
+    edges = pd.concat([gen.cycle(k, offset=o) for k, o in zip(sizes, offsets)], ignore_index=True)
+    return gen.GraphData(n=sum(sizes), edges=edges)
+
+
+# Small cycles contract to a single vertex, and leave the relation,
+# long before the cutoff; they must still be counted.
+MPC_CYCLES = [
+    ("False", gen.cycle_graph(600, two=False), 1),
+    ("True", gen.cycle_graph(600, two=True), 2),
+    ("c3+c597", _cycles(3, 597), 2),
+    ("3xc3+c591", _cycles(3, 3, 3, 591), 4),
+]
+
+
+@pytest.mark.parametrize("g,want", [c[1:] for c in MPC_CYCLES], ids=[c[0] for c in MPC_CYCLES])
+def test_mpc_cycle_answer(spark, g, want):
+    assert mpc_cycle_cc(spark, g, seed=0, cutoff_edges=50).n_components == want
 
 
 def test_ampc_cycle_single_shuffle_and_queries(spark):

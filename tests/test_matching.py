@@ -1,4 +1,5 @@
-"""Maximal matching: AMPC (both Theorem 2 variants) + MPC vs greedy oracle."""
+"""Maximal matching: AMPC (both Theorem 2 variants) + MPC vs greedy oracle,
+and the rootset phase MPC matching shares with MPC MIS."""
 import re
 
 import numpy as np
@@ -165,20 +166,33 @@ class _PlanCtx(RoundContext):
         return super().barrier(df, shuffles)
 
 
-def test_mpc_matching_phase_plan_has_two_exchanges(spark):
-    """Each phase is one barrier whose executed plan exchanges exactly
-    its 2 logical shuffles, each over partially aggregated messages:
-    the adjacency relation keeps its partitioning on ``id`` through
-    ``localCheckpoint`` and is never exchanged again."""
+_PYTHON_NODES = ("MapInPandas", "PythonMapInArrow", "ArrowEvalPython", "BatchEvalPython")
+
+
+def _check_phase_plans(spark, fn):
+    """Each phase of ``fn`` is one barrier whose executed plan exchanges
+    exactly its 2 logical shuffles, each over partially aggregated
+    messages, and runs no Python: the adjacency relation keeps its
+    partitioning on ``id`` through ``localCheckpoint`` and is never
+    exchanged again."""
     g = gen.chung_lu(90, 6, 2.2, seed=1)
     ctx = _PlanCtx(model="mpc")
-    mpc_maximal_matching(spark, g, seed=0, cutoff_edges=0, ctx=ctx)
+    fn(spark, g, seed=0, cutoff_edges=0, ctx=ctx)
     assert len(ctx.plans) == ctx.phases >= 2
     for plan in ctx.plans:
         lines = plan.splitlines()
         exchanges = [i for i, line in enumerate(lines) if re.match(r"[\s:+-]*Exchange ", line)]
         assert len(exchanges) == 2, plan
         assert all("partial_" in lines[i + 1] for i in exchanges), plan
+        assert not any(node in plan for node in _PYTHON_NODES), plan
+
+
+def test_mpc_matching_phase_plan_has_two_exchanges(spark):
+    _check_phase_plans(spark, mpc_maximal_matching)
+
+
+def test_mpc_mis_phase_plan_has_two_exchanges(spark):
+    _check_phase_plans(spark, mpc_mis)
 
 
 def _star(leaves):
@@ -204,14 +218,29 @@ SHAPES = [
 ]
 
 
-@pytest.mark.parametrize("name,g", SHAPES, ids=[n for n, _ in SHAPES])
-@pytest.mark.parametrize("mid_cutoff", [False, True], ids=["cutoff0", "cutoff_mid"])
-def test_mpc_matching_shapes_equal_greedy(spark, name, g, mid_cutoff):
+def _on_shapes(test):
+    test = pytest.mark.parametrize("mid_cutoff", [False, True], ids=["cutoff0", "cutoff_mid"])(test)
+    return pytest.mark.parametrize("name,g", SHAPES, ids=[n for n, _ in SHAPES])(test)
+
+
+def _check_shape(spark, fn, output, oracle, g, mid_cutoff):
+    """``fn``'s ``output`` equals its oracle with the in-memory finish
+    at no edges or at half of them, in 2 shuffles per phase."""
     ctx = RoundContext(model="mpc")
     cutoff = g.m // 2 if mid_cutoff else 0
-    got = mpc_maximal_matching(spark, g, seed=0, cutoff_edges=cutoff, ctx=ctx).edges
-    assert got == ref.greedy_matching(g.n, g.u(), g.v(), 0)
+    got = getattr(fn(spark, g, seed=0, cutoff_edges=cutoff, ctx=ctx), output)
+    assert got == oracle(g.n, g.u(), g.v(), 0)
     assert ctx.phases >= 1 and ctx.shuffles == 2 * ctx.phases
+
+
+@_on_shapes
+def test_mpc_matching_shapes_equal_greedy(spark, name, g, mid_cutoff):
+    _check_shape(spark, mpc_maximal_matching, "edges", ref.greedy_matching, g, mid_cutoff)
+
+
+@_on_shapes
+def test_mpc_mis_shapes_equal_greedy(spark, name, g, mid_cutoff):
+    _check_shape(spark, mpc_mis, "members", ref.greedy_mis, g, mid_cutoff)
 
 
 _SCOPED = ("spark.sql.shuffle.partitions", "spark.sql.adaptive.enabled")
