@@ -10,8 +10,9 @@
   row.
 - :func:`mpc_cycle_cc` — the MPC baseline: iterated random-mate local
   contraction; each iteration shrinks the cycle by a constant factor
-  and costs 3 shuffles (mate selection, then relabel-u and relabel-v in
-  the relabel step it shares with MPC MSF, :func:`repro.mpc.relabel`);
+  and costs 3 shuffles in the contraction loop it shares with MPC MSF,
+  :func:`repro.mpc.contraction_loop` (regroup to each label's two
+  neighbors, a mate pick on the driver, then relabel-u and relabel-v);
   the residual is solved on one machine below the cutoff. The paper's
   baseline (CC-LocalContraction) shrinks ~2.6-3x per iteration; random
   mate shrinks ~1.6x — a conservative deviation recorded in DESIGN.md §5.
@@ -23,13 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
-from pyspark.sql.types import LongType, StructField, StructType
 
 from repro.ampc.dht import adaptive_round, build_sorted_adjacency
-from repro.graphs.generators import GraphData, parallel_frame
+from repro.graphs.generators import GraphData
 from repro.hashing import hash01, splitmix64
-from repro.mpc import DEFAULT_CUTOFF_EDGES, relabel
+from repro.mpc import DEFAULT_CUTOFF_EDGES, contraction_loop
 from repro.reference import UnionFind
 from repro.runtime import RoundContext
 
@@ -116,58 +115,35 @@ def mpc_cycle_cc(
     """MPC connectivity baseline on cycle graphs via random-mate
     contraction. Per iteration: every vertex flips a deterministic
     coin; each tail vertex adjacent to a head merges into its minimum
-    head neighbor. 3 shuffles per iteration; the relabel drops
-    contracted self-loops, so a fully contracted cycle leaves the
-    relation. Components are counted as ``n`` minus the merges: one per
-    mapping row (a tail merges into a head, heads never move) and one
-    per union in the in-memory finish. Raises ``ValueError`` on the
-    driver unless every vertex has degree 2."""
+    head neighbor. 3 shuffles per iteration in
+    :func:`repro.mpc.contraction_loop`; the relabel drops contracted
+    self-loops, so a fully contracted cycle leaves the relation.
+    Components are counted as ``n`` minus the merges: one per mapping
+    row (a tail merges into a head, heads never move) and one per union
+    in the in-memory finish. Raises ``ValueError`` on the driver unless
+    every vertex has degree 2."""
     _check_2_regular(g)
     ctx = ctx or RoundContext(model="mpc")
-    edges = parallel_frame(
-        spark, pd.DataFrame({"cu": g.u(), "cv": g.v()}), "cu long, cv long"
-    ).localCheckpoint(eager=True)
     merged = 0
 
-    while True:
-        if edges.count() <= cutoff_edges:
-            break
-        if ctx.phases >= max_phases:  # pragma: no cover - safety valve
-            raise RuntimeError("cycle contraction failed to converge")
-        ctx.phases += 1
-        phase = ctx.phases
+    def pick(rows: pd.DataFrame, phase: int) -> pd.DataFrame:
+        nonlocal merged
+        c, a, b = rows["c"].to_numpy(), rows["a"].to_numpy(), rows["b"].to_numpy()
+        # A tail (heads stay put) merges into its minimum head neighbor.
+        mate = np.where(_heads(a, phase, seed), a, b)
+        has = ~_heads(c, phase, seed) & _heads(mate, phase, seed)
+        merged += int(has.sum())
+        return pd.DataFrame({"old": c[has], "new": mate[has]})
 
-        # Shuffle 1: per-tail minimum head neighbor.
-        sym = edges.select(F.col("cu").alias("c"), F.col("cv").alias("other")).union(
-            edges.select(F.col("cv").alias("c"), F.col("cu").alias("other"))
-        )
-        grouped = sym.groupBy("c").agg(F.collect_list("other").alias("nbrs"))
-        ctx.shuffle(1)
-
-        def pick_mate(batches):
-            for pdf in batches:
-                c = pdf["c"].to_numpy()
-                nbrs = pdf["nbrs"].tolist()
-                flat = np.concatenate(nbrs + [np.zeros(0, np.int64)])
-                owner = np.repeat(np.arange(len(c)), [len(x) for x in nbrs])
-                # Tails (heads stay put) merge into their minimum head neighbor.
-                cand = _heads(flat, phase, seed) & ~_heads(c, phase, seed)[owner]
-                mate = np.full(len(c), np.iinfo(np.int64).max)
-                np.minimum.at(mate, owner[cand], flat[cand])
-                has = mate < np.iinfo(np.int64).max
-                yield pd.DataFrame({"old": c[has], "new": mate[has]})
-
-        mate_schema = StructType(
-            [StructField("old", LongType()), StructField("new", LongType())]
-        )
-        mapping = grouped.mapInPandas(pick_mate, schema=mate_schema).toPandas()
-        if len(mapping) == 0:
-            continue  # unlucky coloring: nothing contracted this phase
-        merged += len(mapping)
-        # Shuffles 2+3: relabel both endpoints.
-        edges = relabel(spark, ctx, edges, mapping)
-
-    rest = edges.toPandas()
+    # Every label still in the relation has exactly two incident edge
+    # ends: a cycle contracted along its edges is a cycle (of two
+    # parallel edges at the least), and the relabel drops the self-loop
+    # of a cycle contracted to one label. So ``a <= b`` are all of a
+    # label's neighbors.
+    rest = contraction_loop(
+        spark, g, ctx, "struct(min(other) AS a, max(other) AS b)", pick,
+        cutoff_edges=cutoff_edges, max_phases=max_phases, name="cycle contraction",
+    )
     labels = pd.unique(pd.concat([rest["cu"], rest["cv"]]))
     lut = {int(c): i for i, c in enumerate(labels)}
     uf = UnionFind(len(labels))

@@ -67,8 +67,10 @@ def find_light_edges(
                 light[i] = float(w[i]) <= o.path_max(int(u[i]), int(v[i]))
             yield pd.DataFrame({"u": u, "v": v, "w": w, "light": light})
 
-    out = edges.select("u", "v", "w").mapInPandas(classify, schema=_SCHEMA)
-    out = out.localCheckpoint(eager=True)
+    try:
+        out = edges.select("u", "v", "w").mapInPandas(classify, schema=_SCHEMA)
+        out = out.localCheckpoint(eager=True)
+    finally:
+        bc.unpersist()
     ctx.queries += reads_per_edge * out.count()
-    bc.unpersist()
     return out

@@ -22,7 +22,9 @@ must produce *exactly* the Kruskal edge set.
   Total: 5 shuffles, matching Table 3.
 - :func:`mpc_msf` — Borůvka baseline: per phase each blue component
   picks its minimum-weight incident edge and contracts into a red
-  neighbor; 3 shuffles per phase; in-memory Kruskal below the cutoff.
+  neighbor; 3 shuffles per phase in the contraction loop it shares
+  with MPC 1-vs-2-Cycle (:func:`repro.mpc.contraction_loop`), the pick
+  on the driver; in-memory Kruskal below the cutoff.
 
 Every edge either algorithm emits is certified by the cut property
 (minimum-weight edge leaving a connected explored set), so partial
@@ -41,7 +43,7 @@ from pyspark.sql import functions as F
 from repro.ampc.dht import CSRStore, Meter, adaptive_round, build_sorted_adjacency
 from repro.graphs.generators import GraphData, parallel_frame
 from repro.hashing import coin, hash01
-from repro.mpc import DEFAULT_CUTOFF_EDGES, relabel
+from repro.mpc import DEFAULT_CUTOFF_EDGES, contraction_loop
 from repro.reference import UnionFind
 from repro.runtime import RoundContext
 
@@ -240,57 +242,29 @@ def mpc_msf(
     """Borůvka in MPC (§5.5 baseline): per phase every component flips a
     color; each *blue* component picks its minimum-weight incident edge
     and contracts into the other endpoint's component if that one is
-    *red*. 3 shuffles/phase: min-edge regroup, relabel-u, relabel-v.
-    Every picked minimum incident edge is an MSF edge (cut property).
+    *red*. 3 shuffles/phase in :func:`repro.mpc.contraction_loop`:
+    min-edge regroup, relabel-u, relabel-v. Every picked minimum
+    incident edge is an MSF edge (cut property).
     """
     if "w" not in g.edges.columns:
         raise ValueError("mpc_msf needs weighted edges")
     ctx = ctx or RoundContext(model="mpc")
     msf_edges: set[tuple[int, int]] = set()
-    e0 = g.edges.copy()
-    e0["cu"] = e0["u"]
-    e0["cv"] = e0["v"]
-    edges = parallel_frame(
-        spark, e0[["u", "v", "w", "cu", "cv"]], "u long, v long, w double, cu long, cv long"
-    ).localCheckpoint(eager=True)
 
-    while True:
-        m_now = edges.count()
-        if m_now <= cutoff_edges:
-            break
-        if ctx.phases >= max_phases:  # pragma: no cover - safety valve
-            raise RuntimeError("boruvka failed to converge")
-        ctx.phases += 1
-        phase = ctx.phases
-
-        # Shuffle 1: min incident edge per component (symmetrized view).
-        sym = edges.select(
-            F.col("cu").alias("c"), F.col("cv").alias("other"), "w", "u", "v"
-        ).union(
-            edges.select(
-                F.col("cv").alias("c"), F.col("cu").alias("other"), "w", "u", "v"
-            )
-        )
-        best = sym.groupBy("c").agg(F.min(F.struct("w", "u", "v", "other")).alias("e"))
-        ctx.shuffle(1)
-        bp = best.toPandas()
-        comps = bp["c"].to_numpy()
-        others = np.array([x["other"] for x in bp["e"]], dtype=np.int64)
+    def pick(rows: pd.DataFrame, phase: int) -> pd.DataFrame:
+        comps, others = rows["c"].to_numpy(), rows["other"].to_numpy()
         # Deterministic per-phase coloring of components.
-        blue = ~coin(comps, seed=seed * 1000 + phase)
-        partner_red = coin(others, seed=seed * 1000 + phase)
-        sel = blue & partner_red
-        for i in np.flatnonzero(sel).tolist():
-            uu, vv = int(bp["e"].iloc[i]["u"]), int(bp["e"].iloc[i]["v"])
-            msf_edges.add((min(uu, vv), max(uu, vv)))
-        mapping = pd.DataFrame({"old": comps[sel], "new": others[sel]}).drop_duplicates("old")
-        if len(mapping) == 0:
-            continue  # unlucky coloring: phase contracted nothing
-        # Shuffles 2+3: relabel both endpoints' components.
-        edges = relabel(spark, ctx, edges, mapping)
+        color = seed * 1000 + phase
+        sel = ~coin(comps, seed=color) & coin(others, seed=color)
+        u, v = rows["u"].to_numpy()[sel], rows["v"].to_numpy()[sel]
+        msf_edges.update(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist()))
+        return pd.DataFrame({"old": comps[sel], "new": others[sel]})
 
+    rest = contraction_loop(
+        spark, g, ctx, "min(struct(w, u, v, other))", pick, cols=("u", "v", "w"),
+        cutoff_edges=cutoff_edges, max_phases=max_phases, name="boruvka",
+    )
     # In-memory finish on the contracted residual.
-    rest = edges.select("u", "v", "w", "cu", "cv").toPandas()
     msf_edges |= _kruskal_contracted(
         rest["cu"].to_numpy(), rest["cv"].to_numpy(),
         rest["u"].to_numpy(), rest["v"].to_numpy(), rest["w"].to_numpy(),

@@ -1,10 +1,11 @@
 """MPC substrate: the in-memory cutoff, the rootset algorithms'
-adjacency input, their shared phase and phase loop, and the relabel
-step of the contraction loops. Shuffle accounting and the phase loops'
-session scope are in :mod:`repro.runtime`.
+adjacency input with their shared phase and phase loop, and the one
+contraction loop of MPC MSF and MPC 1-vs-2-Cycle. Shuffle accounting
+and the phase loops' session scope are in :mod:`repro.runtime`.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from typing import NamedTuple
 
 import numpy as np
@@ -130,23 +131,63 @@ def rootset_loop(
     return found, residual
 
 
-def relabel(
-    spark: SparkSession, ctx: RoundContext, edges: DataFrame, mapping: pd.DataFrame
-) -> DataFrame:
-    """Shuffles 2+3 of a contraction phase: rename the endpoint labels
-    ``cu`` and ``cv`` of ``edges`` through ``mapping`` (``old → new``),
-    drop the contracted self-loops and keep every other column.
+def contraction_loop(
+    spark: SparkSession,
+    g: GraphData,
+    ctx: RoundContext,
+    best: str,
+    pick: Callable[[pd.DataFrame, int], pd.DataFrame],
+    *,
+    cols: tuple[str, ...] = (),
+    cutoff_edges: int,
+    max_phases: int,
+    name: str,
+) -> pd.DataFrame:
+    """Contract the edge relation ``(*cols, cu, cv)`` of ``g``, where
+    ``cu`` and ``cv`` are the component labels of each edge's endpoints
+    (first the endpoints themselves), until at most ``cutoff_edges``
+    edges are left (paper: 5×10^7).
 
-    ``mapping`` comes from the driver, where it is small and shrinks
-    every phase, as a ``LocalRelation``: if both join inputs derived
-    from ``edges``, Catalyst's join size estimate would *square* every
-    phase and overflow BigInteger after ~30 phases (``localCheckpoint``
-    keeps estimated statistics). Each join is a barrier, so lineage and
-    those statistics reset every phase.
+    Each phase is 3 logical shuffles inside
+    :func:`repro.runtime.mpc_scope`. Shuffle 1 regroups the edge ends
+    ``(c, other, *cols)`` by their component ``c`` under the aggregate
+    ``best``, an SQL expression of struct type, and collects one row
+    per component with the struct's fields as columns; on the driver,
+    ``pick(rows, phase)`` returns the phase's ``old → new`` label
+    mapping. Shuffles 2 and 3 relabel ``cu`` and then ``cv`` through
+    it, each a barrier, and drop the self-loops the contraction made. A
+    phase whose mapping is empty runs and counts only shuffle 1 and
+    leaves the relation, and its edge count, as they were. Returns the
+    residual relation for the caller's in-memory finish.
     """
-    m = spark.createDataFrame(mapping)
-    e = ctx.barrier(edges.join(m.selectExpr("old AS cu", "new AS nu"), "cu", "left"), shuffles=1)
-    e = e.join(m.selectExpr("old AS cv", "new AS nv"), "cv", "left")
-    rest = [c for c in edges.columns if c not in ("cu", "cv")]
-    e = e.select(*rest, F.coalesce("nu", "cu").alias("cu"), F.coalesce("nv", "cv").alias("cv"))
-    return ctx.barrier(e.filter("cu <> cv"), shuffles=1)
+    with mpc_scope(spark):
+        edges = g.to_spark(spark).selectExpr(*cols, "u AS cu", "v AS cv")
+        edges = edges.localCheckpoint(eager=True)
+        m_now = g.m
+        while m_now > cutoff_edges:
+            if ctx.phases >= max_phases:
+                raise RuntimeError(f"{name} failed to converge")
+            ctx.phases += 1
+            ends = edges.selectExpr("cu AS c", "cv AS other", *cols).union(
+                edges.selectExpr("cv AS c", "cu AS other", *cols)
+            )
+            ctx.shuffle(1)
+            rows = ends.groupBy("c").agg(F.expr(best).alias("best")).select("c", "best.*")
+            mapping = pick(rows.toPandas(), ctx.phases)
+            if len(mapping) == 0:
+                continue
+            # ``mapping`` comes from the driver, where it is small and
+            # shrinks every phase, as a ``LocalRelation``: if both join
+            # inputs derived from ``edges``, Catalyst's join size estimate
+            # would *square* every phase and overflow BigInteger after ~30
+            # phases (``localCheckpoint`` keeps estimated statistics). Each
+            # join is a barrier, so lineage and those statistics reset
+            # every phase.
+            m = spark.createDataFrame(mapping)
+            e = ctx.barrier(edges.join(m.selectExpr("old AS cu", "new AS nu"), "cu", "left"))
+            e = e.join(m.selectExpr("old AS cv", "new AS nv"), "cv", "left").selectExpr(
+                *cols, "coalesce(nu, cu) AS cu", "coalesce(nv, cv) AS cv"
+            )
+            edges = ctx.barrier(e.filter("cu <> cv"))
+            m_now = edges.count()
+        return edges.toPandas()

@@ -1,5 +1,6 @@
 """F-light classification (Alg. 5) and KKT-sampled MSF (Alg. 3)."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro import reference as ref
@@ -60,6 +61,27 @@ def test_flight_msf_edges_are_light(spark):
     out = find_light_edges(spark, g.to_spark(spark), g.n, fu, fv, fw).toPandas()
     flags = {(int(r["u"]), int(r["v"])): bool(r["light"]) for _, r in out.iterrows()}
     assert all(flags[e] for e in msf)
+
+
+def test_flight_releases_oracle_when_classify_fails(spark, monkeypatch):
+    """A classify error in a worker still unpersists the oracle broadcast."""
+    g = _weighted(gen.chung_lu(40, 4, 2.2, seed=3))
+    fu, fv, fw = _forest_of(g)
+    sc, released = spark.sparkContext, []
+    broadcast = sc.broadcast
+
+    def spy(value):
+        bc = broadcast(value)
+        unpersist = bc.unpersist
+        monkeypatch.setattr(bc, "unpersist", lambda *a: released.append(unpersist(*a)))
+        return bc
+
+    monkeypatch.setattr(sc, "broadcast", spy)
+    bad = spark.createDataFrame(pd.DataFrame({"u": [0], "v": [g.n + 5], "w": [1.0]}))
+    # PySpark re-raises the worker's IndexError as its own exception type.
+    with pytest.raises(Exception, match="IndexError"):
+        find_light_edges(spark, bad, g.n, fu, fv, fw)
+    assert len(released) == 1
 
 
 def test_flight_counts_queries(spark):

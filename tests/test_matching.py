@@ -1,5 +1,6 @@
 """Maximal matching: AMPC (both Theorem 2 variants) + MPC vs greedy oracle,
-and the rootset phase MPC matching shares with MPC MIS."""
+the rootset phase MPC matching shares with MPC MIS, and the phase plans
+and session scope of every MPC loop (rootset and contraction)."""
 import re
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from repro import reference as ref
 from repro.ampc.dht import CSRStore, Meter
+from repro.core.cycle import mpc_cycle_cc
 from repro.core.matching import (
     _vertex_process,
     ampc_matching_loglog,
@@ -15,6 +17,7 @@ from repro.core.matching import (
     mpc_maximal_matching,
 )
 from repro.core.mis import mpc_mis
+from repro.core.msf import mpc_msf
 from repro.graphs import generators as gen
 from repro.hashing import edge_rank
 from repro.runtime import RoundContext
@@ -243,16 +246,53 @@ def test_mpc_mis_shapes_equal_greedy(spark, name, g, mid_cutoff):
     _check_shape(spark, mpc_mis, "members", ref.greedy_mis, g, mid_cutoff)
 
 
+def _check_contraction_plans(spark, monkeypatch, fn, g, cutoff):
+    """Every frame a contraction loop materialises, its relabel barriers
+    and its shuffle-1 and residual collects, runs no Python, in 3
+    shuffles per phase (on inputs where every phase merges: a phase that
+    merges nothing runs only its shuffle 1)."""
+    ctx = _PlanCtx(model="mpc")
+    collects: list[str] = []
+    frame = type(spark.range(1))
+    to_pandas = frame.toPandas
+
+    def spy(df):
+        collects.append(df._jdf.queryExecution().executedPlan().toString())
+        return to_pandas(df)
+
+    monkeypatch.setattr(frame, "toPandas", spy)
+    fn(spark, g, seed=0, cutoff_edges=cutoff, ctx=ctx)
+    assert ctx.phases >= 2 and ctx.shuffles == 3 * ctx.phases
+    assert len(ctx.plans) == 2 * ctx.phases and len(collects) == ctx.phases + 1
+    for plan in ctx.plans + collects:
+        assert not any(node in plan for node in _PYTHON_NODES), plan
+
+
+def test_mpc_msf_phase_runs_no_python(spark, monkeypatch):
+    g = gen.with_degree_weights(gen.chung_lu(100, 6, 2.2, seed=1))
+    _check_contraction_plans(spark, monkeypatch, mpc_msf, g, cutoff=0)
+
+
+def test_mpc_cycle_phase_runs_no_python(spark, monkeypatch):
+    g = gen.cycle_graph(500, two=False)
+    _check_contraction_plans(spark, monkeypatch, mpc_cycle_cc, g, cutoff=50)
+
+
 _SCOPED = ("spark.sql.shuffle.partitions", "spark.sql.adaptive.enabled")
+_LOOPS = [
+    ("matching", mpc_maximal_matching, gen.chung_lu(60, 5, 2.2, seed=1)),
+    ("mis", mpc_mis, gen.chung_lu(60, 5, 2.2, seed=1)),
+    ("msf", mpc_msf, gen.with_degree_weights(gen.chung_lu(60, 5, 2.2, seed=1))),
+    ("cycle", mpc_cycle_cc, gen.cycle_graph(200, two=True)),
+]
 
 
-@pytest.mark.parametrize("fn", [mpc_maximal_matching, mpc_mis], ids=["matching", "mis"])
-def test_mpc_loop_restores_session_conf(spark, fn):
+@pytest.mark.parametrize("fn,g", [loop[1:] for loop in _LOOPS], ids=[loop[0] for loop in _LOOPS])
+def test_mpc_loop_restores_session_conf(spark, fn, g):
     """The MPC loop scope pins its confs only inside the call, and the
     caller's values come back also when the call raises."""
     saved = {key: spark.conf.get(key) for key in _SCOPED}
     caller = {"spark.sql.shuffle.partitions": "7", "spark.sql.adaptive.enabled": "true"}
-    g = gen.chung_lu(60, 5, 2.2, seed=1)
     try:
         for key, value in caller.items():
             spark.conf.set(key, value)
