@@ -3,5 +3,5 @@
 DESIGN.md §2 documents the mapping from the paper's RDMA key-value
 store to a Spark broadcast store.
 """
-from repro.ampc.dht import DHT, build_sorted_adjacency  # noqa: F401
+from repro.ampc.dht import build_sorted_adjacency  # noqa: F401
 from repro.ampc.cost import modeled_time, LATENCY_S  # noqa: F401

@@ -1,16 +1,18 @@
 """Simulated distributed hash table (DHT).
 
-The paper's AMPC implementations perform one shuffle that builds a
-keyed representation of the graph (priority-directed adjacency for MIS,
-edge-rank-sorted adjacency for matching, weight-sorted adjacency for
-MSF, the two neighbors of each vertex for cycles) and *write it to the
-key-value store*; subsequent rounds make adaptive point lookups
-against it.
+In the paper's AMPC implementations a shuffle writes keyed rows *to the
+key-value store* and the next adaptive round makes point lookups
+against them. The construction shuffle writes a keyed representation of
+the graph (priority-directed adjacency for MIS, edge-rank-sorted
+adjacency for matching, weight-sorted adjacency for MSF and the two
+neighbors of each vertex for cycles); AMPC MSF's visitor combine writes
+each visited vertex's visitors, keyed by their rank.
 
-Here the "write to the KV store" is: key the ``(src, dst, key)`` rows
-on the driver with numpy, run that one shuffle in Spark (a flat
-``repartition("src")`` exchange, with no Python worker stage), collect
-it with ``toArrow`` and sort it into a :class:`CSRStore` on the driver.
+Here the "write to the KV store" is one :class:`CSRStore` build: key the
+``(src, dst, key)`` rows on the driver with numpy, run that one shuffle
+in Spark (:func:`exchange_rows`, a flat ``repartition("src")`` exchange
+with no Python worker stage), collect it with ``toArrow`` and sort it
+into a :class:`CSRStore` on the driver (:func:`build_store`).
 :func:`adaptive_round` then ships the store to executors with
 ``sparkContext.broadcast``: within the round every task has random read
 access to every key — the defining AMPC capability — without any
@@ -56,6 +58,13 @@ class CSRStore:
         np.cumsum(np.bincount(src, minlength=len(indptr) - 1), out=indptr[1:])
         return cls(indptr, *_row_order(src, dst, np.asarray(key, dtype=np.float64)))
 
+    @property
+    def payload_bytes(self) -> int:
+        """Modeled KV size: an id and a key word per entry, plus one key
+        word per non-empty row."""
+        rows_used = int(np.count_nonzero(np.diff(self.indptr)))
+        return (2 * len(self.dst) + rows_used) * _WORD
+
     def get(self, x: int) -> tuple[np.ndarray, np.ndarray]:
         """``(neighbors, keys)`` of ``x``; empty for ids without a row."""
         if 0 <= x < len(self.indptr) - 1:
@@ -97,14 +106,6 @@ def _row_order(src: np.ndarray, dst: np.ndarray, key: np.ndarray) -> tuple[np.nd
     words >>= d_bits
     words &= (1 << k_bits) - 1
     return out_dst, keys[words]
-
-
-@dataclass
-class DHT:
-    """A built, read-only key-value store plus its size accounting."""
-
-    store: CSRStore
-    payload_bytes: int
 
 
 class Meter:
@@ -177,13 +178,34 @@ def adaptive_round(
 _ROW_SCHEMA = "src long, dst long, key double"
 
 
-def _flat_exchange(
-    spark: SparkSession, g: GraphData, sort: str, direct: bool, seed: int
+def exchange_rows(
+    spark: SparkSession, src: np.ndarray, dst: np.ndarray, key: np.ndarray
 ) -> DataFrame:
-    """Both orientations of each edge with the per-neighbor sort key,
-    computed on the driver, hash-partitioned on ``src`` by one exchange;
-    ``direct`` keeps only the rows whose neighbor precedes ``src`` in π.
-    The order within each row is left to :meth:`CSRStore.from_rows`."""
+    """The driver-keyed rows ``src -> dst`` carrying ``key``,
+    hash-partitioned on ``src`` by one exchange. The order within each
+    row is left to :meth:`CSRStore.from_rows`."""
+    rows = pd.DataFrame({"src": src, "dst": dst, "key": key})
+    return parallel_frame(spark, rows, _ROW_SCHEMA).repartition("src")
+
+
+def build_store(ctx: RoundContext, rows: DataFrame) -> CSRStore:
+    """Write the exchanged ``rows`` to the KV store: counts the one
+    shuffle on ``ctx``, collects the rows as Arrow columns, sorts them
+    into a :class:`CSRStore` and charges its payload to ``ctx.kv_bytes``."""
+    ctx.shuffle(1)  # the one costly round: Flume GroupByKey / Spark exchange
+    cols = rows.toArrow()
+    store = CSRStore.from_rows(
+        cols["src"].to_numpy(), cols["dst"].to_numpy(), cols["key"].to_numpy()
+    )
+    ctx.kv_bytes += store.payload_bytes
+    return store
+
+
+def _keyed_rows(
+    g: GraphData, sort: str, direct: bool, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both orientations of each edge with the per-neighbor sort key;
+    ``direct`` keeps only the rows whose neighbor precedes ``src`` in π."""
     if direct and sort != "vertex_rank":
         raise ValueError("direct=True only makes sense with vertex_rank sort")
     u, v = g.u(), g.v()
@@ -199,8 +221,7 @@ def _flat_exchange(
     else:
         raise ValueError(f"unknown sort mode {sort!r}")
     keep = key < hash01(src, seed) if direct else slice(None)
-    rows = pd.DataFrame({"src": src[keep], "dst": dst[keep], "key": key[keep]})
-    return parallel_frame(spark, rows, _ROW_SCHEMA).repartition("src")
+    return src[keep], dst[keep], key[keep]
 
 
 def build_sorted_adjacency(
@@ -211,7 +232,7 @@ def build_sorted_adjacency(
     sort: str = "vertex_rank",
     direct: bool = False,
     seed: int = 0,
-) -> DHT:
+) -> CSRStore:
     """The AMPC construction shuffle: adjacency lists sorted by ``sort``.
 
     - ``sort="vertex_rank"``: neighbors ordered by their rank π(v)
@@ -223,17 +244,8 @@ def build_sorted_adjacency(
     - ``direct=True`` keeps only neighbors earlier in the permutation
       (π(neighbor) < π(vertex)), i.e. the directed graph of Figure 1.
 
-    The keyed rows are computed on the driver, go through one
-    ``repartition("src")`` exchange and are collected as Arrow columns.
     Counts exactly one shuffle on ``ctx`` and records the KV payload
     size. Vertices with no (kept) neighbors have an empty row.
     """
-    rows = _flat_exchange(spark, g, sort, direct, seed)
-    ctx.shuffle(1)  # the one costly round: Flume GroupByKey / Spark exchange
-    cols = rows.toArrow()
-    src = cols["src"].to_numpy()
-    store = CSRStore.from_rows(src, cols["dst"].to_numpy(), cols["key"].to_numpy())
-    rows_used = int(np.count_nonzero(np.diff(store.indptr)))  # one key word per KV entry
-    payload = (2 * len(src) + rows_used) * _WORD
-    ctx.kv_bytes += payload
-    return DHT(store=store, payload_bytes=payload)
+    # One expression, so the keyed arrays are freed before the collect.
+    return build_store(ctx, exchange_rows(spark, *_keyed_rows(g, sort, direct, seed)))

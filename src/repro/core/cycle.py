@@ -68,7 +68,7 @@ def ampc_one_vs_two_cycle(
     is_sample = hash01(np.arange(g.n), seed + 77) < p
     if not is_sample.any():
         raise ValueError("no vertices sampled; increase p")
-    dht = build_sorted_adjacency(spark, g, ctx, seed=seed)
+    store = build_sorted_adjacency(spark, g, ctx, seed=seed)
 
     def walk(ids, store, meter):
         csr, sample = store
@@ -88,7 +88,7 @@ def ampc_one_vs_two_cycle(
         return rows
 
     samples = np.flatnonzero(is_sample)
-    rows = adaptive_round(spark, ctx, (dht.store, is_sample), samples, walk)
+    rows = adaptive_round(spark, ctx, (store, is_sample), samples, walk)
     total_steps = sum(steps for _, _, steps in rows)
     if total_steps != 2 * g.m:
         raise ValueError(

@@ -5,7 +5,8 @@ O(m log n) to O(m + n log² n): sample each edge with probability
 p = 1/log n, compute the MSF F of the sample, discard F-heavy edges of
 G (expected O(n/p) survivors, Lemma 3.9), and finish on F ∪ E_light.
 Every stage is a constant-round AMPC computation; the F-light filter is
-Algorithm 5 (``repro.core.flight``).
+Algorithm 5 (``repro.core.flight``), one adaptive round that returns a
+mask over G's edges, so the light edges are read straight from G.
 """
 from __future__ import annotations
 
@@ -41,27 +42,17 @@ def msf_kkt(
 
     # Line 2: F = MSF(H) via the constant-round algorithm.
     f = ampc_msf(spark, h, seed=seed, ctx=ctx) if h.m else MSFResult(set(), ctx)
-    wt = {(int(a), int(b)): float(x) for a, b, x in zip(g.u(), g.v(), g.w())}
-    fu = np.array([a for a, _ in f.edges], dtype=np.int64)
-    fv = np.array([b for _, b in f.edges], dtype=np.int64)
-    fw = np.array([wt[e] for e in f.edges], dtype=np.float64)
+    # F as a mask over G's edges; both store an edge as (u, v) with u < v.
+    u, v = g.u(), g.v()
+    in_f = np.isin(u * g.n + v, [a * g.n + b for a, b in f.edges])
 
     # Line 3: E_L = F-light edges of G (Algorithm 5).
-    flags = find_light_edges(
-        spark, g.to_spark(spark), g.n, fu, fv, fw, ctx=ctx
-    ).toPandas()
-    light = flags.loc[flags["light"], ["u", "v", "w"]]
-    ctx.notes["n_light"] = int(len(light))
+    light = find_light_edges(spark, g, u[in_f], v[in_f], g.w()[in_f], ctx=ctx)
+    ctx.notes["n_light"] = int(light.sum())
     ctx.notes["n_sampled"] = int(h.m)
 
     # Line 4: MSF(F ∪ E_L). F ⊆ E_L already (forest edges are F-light),
     # so the union is the light edge set itself.
-    final_in = GraphData(
-        n=g.n,
-        edges=light.drop_duplicates(["u", "v"]).reset_index(drop=True).astype(
-            {"u": np.int64, "v": np.int64}
-        ),
-        name="light",
-    )
+    final_in = GraphData(n=g.n, edges=g.edges.loc[light].reset_index(drop=True), name="light")
     final = ampc_msf(spark, final_in, seed=seed, ctx=ctx)
     return MSFResult(edges=final.edges, ctx=ctx)

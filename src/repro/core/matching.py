@@ -150,7 +150,6 @@ def ampc_maximal_matching(
     cache: bool = True,
     budget: int = 0,
     ctx: RoundContext | None = None,
-    max_applications: int = 50,
     sort: str = "edge_rank",
 ) -> MatchingResult:
     """AMPC maximal matching: 1 shuffle per application of the vertex
@@ -165,14 +164,12 @@ def ampc_maximal_matching(
     ctx = ctx or RoundContext(model="ampc")
     matched_edges: set[tuple[int, int]] = set()
     current = g
-    for _ in range(max_applications):
-        if current.m == 0:
-            break
+    while current.m:
         ctx.phases += 1
-        dht = build_sorted_adjacency(spark, current, ctx, sort=sort, seed=seed)
+        store = build_sorted_adjacency(spark, current, ctx, sort=sort, seed=seed)
         vertices = np.unique(np.concatenate([current.u(), current.v()]))
         rows = adaptive_round(
-            spark, ctx, dht.store, vertices,
+            spark, ctx, store, vertices,
             lambda ids, store, meter: _vertex_process(ids, store, meter, cache, budget),
         )
         matched_vertices = set()
@@ -193,8 +190,6 @@ def ampc_maximal_matching(
         if len(residual) == current.m:  # pragma: no cover - safety valve
             raise RuntimeError("matching made no progress")
         current = GraphData(n=current.n, edges=residual, name=current.name)
-    else:  # pragma: no cover - safety valve
-        raise RuntimeError("ampc matching did not converge")
     return MatchingResult(edges=matched_edges, ctx=ctx)
 
 

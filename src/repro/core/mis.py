@@ -99,7 +99,7 @@ def ampc_mis(
     ctx = ctx or RoundContext(model="ampc")
     # Step (1)+(2): the single shuffle — direct edges by priority, write
     # the directed graph to the key-value store.
-    dht = build_sorted_adjacency(spark, g, ctx, sort="vertex_rank", direct=True, seed=seed)
+    store = build_sorted_adjacency(spark, g, ctx, sort="vertex_rank", direct=True, seed=seed)
 
     # Step (3): adaptive round — IsInMIS over all vertices.
     def run(ids, store, meter):
@@ -109,7 +109,7 @@ def ampc_mis(
             for x in ids
         ]
 
-    rows = adaptive_round(spark, ctx, dht.store, np.arange(g.n), run)
+    rows = adaptive_round(spark, ctx, store, np.arange(g.n), run)
     members = {x for x, in_mis in rows if in_mis}
     return MISResult(members=members, ctx=ctx)
 

@@ -12,13 +12,15 @@ must produce *exactly* the Kruskal edge set.
   round runs a truncated Prim search from every vertex (Algorithm 1
   stopping conditions: budget exhausted / component exhausted / a
   higher-priority vertex reached), emitting discovered MSF edges and
-  (visited, visitor) tuples; (3) one shuffle combines visitors per
-  visited vertex (keep the highest-priority visitor); (4) an adaptive
-  pointer-jumping round contracts the visitor forest to roots via DHT
-  lookups; (5) three shuffles contract the graph (relabel u, relabel v,
-  regroup to the minimum edge per contracted pair); the contracted
-  graph — Ω(n^(ε/2)) times smaller, Lemma 3.3 — is finished in memory
-  (the stand-in for the DenseMSF black box of Proposition 3.1).
+  (visited, visitor) tuples; (3) one shuffle writes each visited
+  vertex's visitors to the DHT, ordered by rank, with the same build as
+  step (1); (4) an adaptive pointer-jumping round reads the first
+  (highest-priority) visitor of each row as the parent and contracts
+  the visitor forest to roots; (5) three shuffles contract the graph
+  (relabel u, relabel v, regroup to the minimum edge per contracted
+  pair); the contracted graph — Ω(n^(ε/2)) times smaller, Lemma 3.3 —
+  is finished in memory (the stand-in for the DenseMSF black box of
+  Proposition 3.1).
   Total: 5 shuffles, matching Table 3.
 - :func:`mpc_msf` — Borůvka baseline: per phase each blue component
   picks its minimum-weight incident edge and contracts into a red
@@ -40,7 +42,9 @@ import pandas as pd
 from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
-from repro.ampc.dht import CSRStore, Meter, adaptive_round, build_sorted_adjacency
+from repro.ampc.dht import (
+    CSRStore, Meter, adaptive_round, build_sorted_adjacency, build_store, exchange_rows,
+)
 from repro.graphs.generators import GraphData, parallel_frame
 from repro.hashing import coin, hash01
 from repro.mpc import DEFAULT_CUTOFF_EDGES, contraction_loop
@@ -147,51 +151,44 @@ def ampc_msf(
         budget = max(8, int(round(n**0.5)))  # n^(ε/2) with ε = 1
 
     # Part 1, shuffle 1: weight-sorted adjacency -> DHT.
-    dht = build_sorted_adjacency(spark, g, ctx, sort="weight", seed=seed)
+    store = build_sorted_adjacency(spark, g, ctx, sort="weight", seed=seed)
 
     def run_prim(ids, store, meter):
         ranks_of = hash01(np.arange(n), seed).tolist().__getitem__
         return [_prim_search(v, store, ranks_of, budget, meter) for v in ids]
 
-    prim = adaptive_round(spark, ctx, dht.store, np.arange(n), run_prim)
+    prim = adaptive_round(spark, ctx, store, np.arange(n), run_prim)
     msf_edges = {(min(a, b), max(a, b)) for mes, _ in prim for a, b, _ in mes}
 
-    # Part 2, shuffle 2: combine visit tuples — keep the highest-priority
-    # (lowest-rank) visitor per visited vertex.
+    # Part 2, shuffle 2: combine visit tuples — write each visited
+    # vertex's visitors to the DHT keyed by their rank, so a row's first
+    # entry is its highest-priority (lowest-rank) visitor: its parent.
     xy = np.array([t for _, vis in prim for t in vis], dtype=np.int64).reshape(-1, 2)
-    visits = parallel_frame(
-        spark,
-        pd.DataFrame({"x": xy[:, 0], "y": xy[:, 1], "w": hash01(xy[:, 1], seed)}),
-        "x long, y long, w double",
-    )
-    parent_df = visits.groupBy(F.col("x").alias("child")).agg(
-        F.min(F.struct("w", "y")).alias("best")
-    )
-    ctx.shuffle(1)
-    parents = parent_df.select("child", F.col("best.y").alias("parent")).toPandas()
-    parent_map = dict(
-        zip(parents["child"].astype(int).tolist(), parents["parent"].astype(int).tolist())
-    )
+    visitors = build_store(ctx, exchange_rows(spark, xy[:, 0], xy[:, 1], hash01(xy[:, 1], seed)))
 
     # Adaptive round: pointer jumping through the DHT (no shuffle —
     # "repeatedly queries the parent of a vertex until it hits a root").
-    def jump(ids, pm, meter):
+    # A vertex nobody visited has an empty row: it is a root.
+    def jump(ids, store, meter):
         memo: dict[int, int] = {}
         rows = []
         for x in ids:
             chain = []
             cur = x
-            while cur not in memo and cur in pm:
+            while cur not in memo:
+                parents = store.get(cur)[0]
+                if not len(parents):
+                    break
                 meter.lookup()
                 chain.append(cur)
-                cur = pm[cur]
+                cur = int(parents[0])
             root = memo.get(cur, cur)
             for c in chain:
                 memo[c] = root
             rows.append((x, root, len(chain)))
         return rows
 
-    rows = adaptive_round(spark, ctx, parent_map, np.arange(n), jump)
+    rows = adaptive_round(spark, ctx, visitors, np.arange(n), jump)
     roots = np.array(rows, dtype=np.int64).reshape(-1, 3)
     ctx.notes["max_pointer_jump"] = int(roots[:, 2].max(initial=0))
 

@@ -82,7 +82,10 @@ def ternarize(g: GraphData) -> Ternarized:
         ring = np.concatenate([ids, ids[:1]])
         for a, b in zip(ring[:-1].tolist(), ring[1:].tolist()):
             rows.append((min(a, b), max(a, b), float(next(dummy_w))))
-    edges = pd.DataFrame(rows, columns=["u", "v", "w"])
+    # Typed columns, so an edgeless graph still yields integer endpoints.
+    edges = pd.DataFrame(rows, columns=["u", "v", "w"]).astype(
+        {"u": np.int64, "v": np.int64, "w": np.float64}
+    )
     edges[["u", "v"]] = np.sort(edges[["u", "v"]].to_numpy(), axis=1)
     g3 = GraphData(n=next_id, edges=edges.sort_values(["u", "v"], ignore_index=True))
 

@@ -3,8 +3,9 @@
 Every random priority in the reproduction (vertex ranks for MIS/MSF,
 edge ranks for matching, coin flips for Borůvka/contraction, sampling
 decisions) is derived from splitmix64 over (seed, key). The same numpy
-function runs inside Spark pandas UDFs, inside the sequential reference
-implementations, and on the driver, so the AMPC algorithm, the MPC
+function runs on the driver (which keys every DHT build and every MPC
+pick), inside the AMPC adaptive rounds' tasks, and inside the
+sequential reference implementations, so the AMPC algorithm, the MPC
 algorithm and the sequential greedy oracle all observe the *identical*
 permutation — which is what lets tests assert exact-result equality
 (paper §5.3: both models compute the same MIS given the same

@@ -87,21 +87,21 @@ class TestBuildSortedAdjacency:
     def test_vertex_rank_sorted(self, spark):
         g = gen.chung_lu(50, 5, 2.2, seed=0)
         ctx = RoundContext(model="ampc")
-        dht = build_sorted_adjacency(
+        store = build_sorted_adjacency(
             spark, g, ctx, sort="vertex_rank", seed=3
         )
         assert ctx.shuffles == 1
-        for src, nbrs, keys in _rows(dht.store):
+        for src, nbrs, keys in _rows(store):
             assert np.all(np.diff(keys) >= 0)
             assert np.allclose(keys, hash01(nbrs, 3))
 
     def test_direct_keeps_only_earlier(self, spark):
         g = gen.chung_lu(60, 5, 2.2, seed=1)
         ctx = RoundContext(model="ampc")
-        dht = build_sorted_adjacency(
+        store = build_sorted_adjacency(
             spark, g, ctx, sort="vertex_rank", direct=True, seed=0
         )
-        for src, nbrs, keys in _rows(dht.store):
+        for src, nbrs, keys in _rows(store):
             r_src = hash01(np.array([src]), 0)[0]
             assert (keys < r_src).all()
 
@@ -117,26 +117,26 @@ class TestBuildSortedAdjacency:
             sort="vertex_rank",
             direct=True,
         )
-        assert len(full.store.dst) == 2 * g.m
-        assert len(direct.store.dst) == g.m  # each edge kept in exactly one direction
+        assert len(full.dst) == 2 * g.m
+        assert len(direct.dst) == g.m  # each edge kept in exactly one direction
 
     def test_edge_rank_sorted(self, spark):
         g = gen.chung_lu(40, 4, 2.2, seed=2)
-        dht = build_sorted_adjacency(
+        store = build_sorted_adjacency(
             spark, g, RoundContext(model="ampc"), sort="edge_rank", seed=1
         )
-        for src, nbrs, keys in _rows(dht.store):
+        for src, nbrs, keys in _rows(store):
             srcs = np.full(len(nbrs), src, dtype=np.int64)
             assert np.allclose(keys, edge_rank(srcs, nbrs, 1))
             assert np.all(np.diff(keys) >= 0)
 
     def test_weight_sorted(self, spark):
         g = gen.with_degree_weights(gen.chung_lu(40, 4, 2.2, seed=3))
-        dht = build_sorted_adjacency(
+        store = build_sorted_adjacency(
             spark, g, RoundContext(model="ampc"), sort="weight"
         )
         wt = {(min(a, b), max(a, b)): w for a, b, w in zip(g.u(), g.v(), g.w())}
-        for src, nbrs, keys in _rows(dht.store):
+        for src, nbrs, keys in _rows(store):
             assert np.all(np.diff(keys) >= 0)
             for y, k in zip(nbrs.tolist(), keys.tolist()):
                 assert wt[(min(src, y), max(src, y))] == pytest.approx(k)
@@ -162,16 +162,16 @@ class TestBuildSortedAdjacency:
     def test_payload_bytes_recorded(self, spark):
         g = gen.chung_lu(30, 4, 2.2, seed=0)
         ctx = RoundContext(model="ampc")
-        dht = build_sorted_adjacency(spark, g, ctx, sort="vertex_rank")
-        rows = np.count_nonzero(np.diff(dht.store.indptr))
-        assert dht.payload_bytes == (2 * 2 * g.m + rows) * 8
-        assert ctx.kv_bytes == dht.payload_bytes
+        store = build_sorted_adjacency(spark, g, ctx, sort="vertex_rank")
+        rows = np.count_nonzero(np.diff(store.indptr))
+        assert store.payload_bytes == (2 * 2 * g.m + rows) * 8
+        assert ctx.kv_bytes == store.payload_bytes
 
     def test_indptr_well_formed(self, spark):
         g = gen.chung_lu(50, 5, 2.2, seed=4)
         store = build_sorted_adjacency(
             spark, g, RoundContext(model="ampc"), sort="edge_rank"
-        ).store
+        )
         assert np.all(np.diff(store.indptr) >= 0)
         assert store.indptr[0] == 0 and store.indptr[-1] == len(store.dst) == len(store.key)
 
@@ -185,7 +185,7 @@ class TestBuildSortedAdjacency:
             built.append(
                 build_sorted_adjacency(
                     spark, g, RoundContext(model="ampc"), sort="weight"
-                ).store
+                )
             )
         a, b = built
         for name in ("indptr", "dst", "key"):
@@ -199,7 +199,7 @@ class TestBuildSortedAdjacency:
             _star_tied(6, np.arange(11)),
             RoundContext(model="ampc"),
             direct=True,
-        ).store
+        )
         ranks = hash01(np.arange(7), 0)
         first = int(ranks.argmin())  # no neighbor precedes it in π
         assert len(direct.get(first)[0]) == 0
@@ -224,10 +224,10 @@ class TestBuildSortedAdjacency:
         none = np.empty(0, dtype=np.int64)
         g = GraphData(n=4, edges=pd.DataFrame({"u": none, "v": none}))
         ctx = RoundContext(model="ampc")
-        dht = build_sorted_adjacency(spark, g, ctx, sort="edge_rank")
-        assert len(dht.store.dst) == len(dht.store.key) == 0
-        assert dht.store.indptr.tolist() == [0]
-        assert dht.payload_bytes == 0 and ctx.shuffles == 1
+        store = build_sorted_adjacency(spark, g, ctx, sort="edge_rank")
+        assert len(store.dst) == len(store.key) == 0
+        assert store.indptr.tolist() == [0]
+        assert store.payload_bytes == 0 and ctx.shuffles == 1
 
 
 def _executed_build_plan(spark, monkeypatch, ctx: RoundContext) -> str:
@@ -238,8 +238,8 @@ def _executed_build_plan(spark, monkeypatch, ctx: RoundContext) -> str:
         built.append(exchange(*args))
         return built[-1]
 
-    exchange = dht_mod._flat_exchange
-    monkeypatch.setattr(dht_mod, "_flat_exchange", spy)
+    exchange = dht_mod.exchange_rows
+    monkeypatch.setattr(dht_mod, "exchange_rows", spy)
     g = gen.chung_lu(50, 5, 2.2, seed=0)
     build_sorted_adjacency(spark, g, ctx, sort="edge_rank")
     return built[0]._jdf.queryExecution().executedPlan().toString()
@@ -275,6 +275,27 @@ class TestAdaptiveRound:
         ctx = RoundContext(model="ampc", queries=1, cache_hits=2, kv_bytes=3)
         assert adaptive_round(spark, ctx, None, [], body) == []
         assert (ctx.queries, ctx.cache_hits, ctx.kv_bytes) == (1, 2, 3)
+
+    def test_releases_store_when_body_fails(self, spark, monkeypatch):
+        """A body error in a worker propagates and the store's broadcast
+        is still unpersisted, exactly once."""
+        sc, released = spark.sparkContext, []
+        broadcast = sc.broadcast
+
+        def spy(value):
+            bc = broadcast(value)
+            unpersist = bc.unpersist
+            monkeypatch.setattr(bc, "unpersist", lambda *a: released.append(unpersist(*a)))
+            return bc
+
+        def body(ids, store, meter):
+            return [store[x] for x in ids]
+
+        monkeypatch.setattr(sc, "broadcast", spy)
+        # PySpark re-raises the worker's IndexError as its own exception type.
+        with pytest.raises(Exception, match="IndexError"):
+            adaptive_round(spark, RoundContext(model="ampc"), [0], np.arange(3), body)
+        assert len(released) == 1
 
 
 class TestCostModel:

@@ -1,11 +1,13 @@
 """F-light classification (Alg. 5) and KKT-sampled MSF (Alg. 3)."""
+import math
+
 import numpy as np
-import pandas as pd
 import pytest
 
 from repro import reference as ref
 from repro.core.flight import find_light_edges
 from repro.core.kkt import msf_kkt
+from repro.core.msf import ampc_msf
 from repro.graphs import generators as gen
 from repro.runtime import RoundContext
 
@@ -31,26 +33,23 @@ def _forest_of(g, seed=0):
 def test_flight_matches_bruteforce(spark, seed):
     g = _weighted(gen.chung_lu(50, 5, 2.2, seed=seed))
     fu, fv, fw = _forest_of(g)
-    out = find_light_edges(spark, g.to_spark(spark), g.n, fu, fv, fw).toPandas()
-    for _, row in out.iterrows():
-        want = float(row["w"]) <= ref.path_max_weight(
-            g.n, fu, fv, fw, int(row["u"]), int(row["v"])
-        )
-        assert bool(row["light"]) == want
+    light = find_light_edges(spark, g, fu, fv, fw)
+    assert light.dtype == bool and len(light) == g.m
+    for a, b, w, got in zip(g.u().tolist(), g.v().tolist(), g.w().tolist(), light.tolist()):
+        assert got == (w <= ref.path_max_weight(g.n, fu, fv, fw, a, b))
 
 
 def test_flight_forest_edges_are_light(spark):
     """Proposition 3.8 corollary: F's own edges are F-light."""
     g = _weighted(gen.chung_lu(60, 6, 2.2, seed=1))
     fu, fv, fw = _forest_of(g)
-    out = find_light_edges(spark, g.to_spark(spark), g.n, fu, fv, fw).toPandas()
+    light = find_light_edges(spark, g, fu, fv, fw)
     fset = {(min(a, b), max(a, b)) for a, b in zip(fu.tolist(), fv.tolist())}
     got = {
-        (int(r["u"]), int(r["v"]))
-        for _, r in out.iterrows()
-        if (int(r["u"]), int(r["v"])) in fset and r["light"]
+        e for e, is_light in zip(zip(g.u().tolist(), g.v().tolist()), light.tolist())
+        if e in fset and is_light
     }
-    assert got == {e for e in fset}
+    assert got == fset
 
 
 def test_flight_msf_edges_are_light(spark):
@@ -58,38 +57,54 @@ def test_flight_msf_edges_are_light(spark):
     g = _weighted(gen.chung_lu(60, 6, 2.2, seed=2))
     fu, fv, fw = _forest_of(g)
     msf = ref.kruskal_msf(g.n, g.u(), g.v(), g.w())
-    out = find_light_edges(spark, g.to_spark(spark), g.n, fu, fv, fw).toPandas()
-    flags = {(int(r["u"]), int(r["v"])): bool(r["light"]) for _, r in out.iterrows()}
+    light = find_light_edges(spark, g, fu, fv, fw)
+    flags = dict(zip(zip(g.u().tolist(), g.v().tolist()), light.tolist()))
     assert all(flags[e] for e in msf)
 
 
-def test_flight_releases_oracle_when_classify_fails(spark, monkeypatch):
-    """A classify error in a worker still unpersists the oracle broadcast."""
-    g = _weighted(gen.chung_lu(40, 4, 2.2, seed=3))
-    fu, fv, fw = _forest_of(g)
-    sc, released = spark.sparkContext, []
-    broadcast = sc.broadcast
-
-    def spy(value):
-        bc = broadcast(value)
-        unpersist = bc.unpersist
-        monkeypatch.setattr(bc, "unpersist", lambda *a: released.append(unpersist(*a)))
-        return bc
-
-    monkeypatch.setattr(sc, "broadcast", spy)
-    bad = spark.createDataFrame(pd.DataFrame({"u": [0], "v": [g.n + 5], "w": [1.0]}))
-    # PySpark re-raises the worker's IndexError as its own exception type.
-    with pytest.raises(Exception, match="IndexError"):
-        find_light_edges(spark, bad, g.n, fu, fv, fw)
-    assert len(released) == 1
-
-
 def test_flight_counts_queries(spark):
+    """2 + ceil(log2 n) reads per edge, and no KV bytes."""
     g = _weighted(gen.chung_lu(40, 4, 2.2, seed=3))
     fu, fv, fw = _forest_of(g)
     ctx = RoundContext(model="ampc")
-    find_light_edges(spark, g.to_spark(spark), g.n, fu, fv, fw, ctx=ctx)
-    assert ctx.queries >= 2 * g.m
+    find_light_edges(spark, g, fu, fv, fw, ctx=ctx)
+    assert ctx.queries == (2 + math.ceil(math.log2(g.n))) * g.m
+    assert ctx.kv_bytes == 0 and ctx.shuffles == 0
+
+
+#: ``(ampc_msf, msf_kkt)`` queries on the pinned input, by
+#: ``defaultParallelism``: pointer jumping memoizes per machine, so the
+#: slicing of the round decides its query count.
+_PINNED_QUERIES = {
+    1: (1312, 16197), 2: (1370, 16273), 3: (1397, 16310),
+    4: (1417, 16341), 8: (1457, 16400), 16: (1482, 16445),
+}
+
+
+@pytest.mark.parametrize(
+    "algo, want_shuffles, want_notes",
+    [
+        (ampc_msf, 5, {"max_pointer_jump": 4, "contracted_vertices": 11}),
+        (
+            msf_kkt,
+            10,
+            {"max_pointer_jump": 4, "contracted_vertices": 11, "n_light": 1067, "n_sampled": 210},
+        ),
+    ],
+    ids=["ampc_msf", "msf_kkt"],
+)
+def test_msf_counts_pinned(spark, algo, want_shuffles, want_notes):
+    """Edges, shuffles, queries, cache hits and notes of AMPC MSF and
+    Algorithm 3 on one fixed weighted input."""
+    g = _weighted(gen.chung_lu(300, 8, 2.2, seed=0))
+    ctx = RoundContext(model="ampc")
+    edges = algo(spark, g, seed=0, ctx=ctx).edges
+    assert edges == ref.kruskal_msf(g.n, g.u(), g.v(), g.w()) and len(edges) == 299
+    assert (ctx.shuffles, ctx.phases, ctx.cache_hits) == (want_shuffles, 0, 0)
+    assert ctx.notes == want_notes
+    queries = _PINNED_QUERIES.get(spark.sparkContext.defaultParallelism)
+    if queries is not None:  # recorded for these slicings only
+        assert ctx.queries == queries[algo is msf_kkt]
 
 
 @pytest.mark.parametrize("seed", [0, 4])
