@@ -2,11 +2,12 @@
 
 In the paper's AMPC implementations a shuffle writes keyed rows *to the
 key-value store* and the next adaptive round makes point lookups
-against them. The construction shuffle writes a keyed representation of
-the graph (priority-directed adjacency for MIS, edge-rank-sorted
-adjacency for matching, weight-sorted adjacency for MSF and the two
-neighbors of each vertex for cycles); AMPC MSF's visitor combine writes
-each visited vertex's visitors, keyed by their rank.
+against them. The construction shuffle writes the graph's adjacency
+keyed by the caller's per-edge rank (:func:`build_sorted_adjacency`:
+edge rank for matching, weight for MSF, neighbor id for cycles). AMPC
+MIS writes each edge once, from the later to the earlier vertex in π
+positions, and AMPC MSF's visitor combine writes each visited vertex's
+highest-priority visitor; both go through :func:`build_store` directly.
 
 Here the "write to the KV store" is one :class:`CSRStore` build: key the
 ``(src, dst, key)`` rows on the driver with numpy, run that one shuffle
@@ -32,7 +33,6 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.graphs.generators import GraphData, parallel_frame
-from repro.hashing import edge_rank, hash01
 from repro.runtime import RoundContext
 
 _WORD = 8  # bytes per id / weight, the model's "constant number of words"
@@ -201,51 +201,23 @@ def build_store(ctx: RoundContext, rows: DataFrame) -> CSRStore:
     return store
 
 
-def _keyed_rows(
-    g: GraphData, sort: str, direct: bool, seed: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Both orientations of each edge with the per-neighbor sort key;
-    ``direct`` keeps only the rows whose neighbor precedes ``src`` in π."""
-    if direct and sort != "vertex_rank":
-        raise ValueError("direct=True only makes sense with vertex_rank sort")
-    u, v = g.u(), g.v()
-    src, dst = np.concatenate([u, v]), np.concatenate([v, u])
-    if sort == "vertex_rank":
-        key = hash01(dst, seed)
-    elif sort == "edge_rank":
-        key = edge_rank(src, dst, seed)
-    elif sort == "weight":
-        if "w" not in g.edges.columns:
-            raise ValueError("sort='weight' needs a 'w' column")
-        key = np.tile(g.w().astype(np.float64), 2)
-    else:
-        raise ValueError(f"unknown sort mode {sort!r}")
-    keep = key < hash01(src, seed) if direct else slice(None)
-    return src[keep], dst[keep], key[keep]
-
-
 def build_sorted_adjacency(
-    spark: SparkSession,
-    g: GraphData,
-    ctx: RoundContext,
-    *,
-    sort: str = "vertex_rank",
-    direct: bool = False,
-    seed: int = 0,
+    spark: SparkSession, g: GraphData, ctx: RoundContext, rank: np.ndarray | None = None
 ) -> CSRStore:
-    """The AMPC construction shuffle: adjacency lists sorted by ``sort``.
+    """The AMPC construction shuffle: both orientations of each edge of
+    ``g``, keyed by that edge's ``rank`` (one per edge; ``None`` orders
+    neighbors by id), as in :func:`repro.mpc.adjacency_df`.
 
-    - ``sort="vertex_rank"``: neighbors ordered by their rank π(v)
-      (MIS, Figure 1 step 1).
-    - ``sort="edge_rank"``: ordered by the rank of the connecting edge
-      (maximal matching, §5.4).
-    - ``sort="weight"``: ordered by edge weight (MSF Prim, §5.5) —
-      ``g`` must carry a ``w`` column.
-    - ``direct=True`` keeps only neighbors earlier in the permutation
-      (π(neighbor) < π(vertex)), i.e. the directed graph of Figure 1.
-
-    Counts exactly one shuffle on ``ctx`` and records the KV payload
-    size. Vertices with no (kept) neighbors have an empty row.
+    Callers pass their algorithm's order: matching the edge rank
+    (§5.4), MSF Prim the weight (§5.5), the cycle walk nothing. Counts
+    exactly one shuffle on ``ctx`` and records the KV payload size.
+    Vertices without edges have an empty row.
     """
-    # One expression, so the keyed arrays are freed before the collect.
-    return build_store(ctx, exchange_rows(spark, *_keyed_rows(g, sort, direct, seed)))
+    u, v = g.u(), g.v()
+    # One expression, so the keyed arrays are freed before the collect;
+    # callers pass ``rank`` inline, so dropping it here frees it too.
+    rows = exchange_rows(
+        spark, np.r_[u, v], np.r_[v, u], np.zeros(2 * g.m) if rank is None else np.r_[rank, rank]
+    )
+    del rank
+    return build_store(ctx, rows)

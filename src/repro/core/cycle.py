@@ -27,7 +27,7 @@ from pyspark.sql import SparkSession
 
 from repro.ampc.dht import adaptive_round, build_sorted_adjacency
 from repro.graphs.generators import GraphData
-from repro.hashing import hash01, splitmix64
+from repro.hashing import coin, hash01
 from repro.mpc import DEFAULT_CUTOFF_EDGES, contraction_loop
 from repro.reference import UnionFind
 from repro.runtime import RoundContext
@@ -68,7 +68,7 @@ def ampc_one_vs_two_cycle(
     is_sample = hash01(np.arange(g.n), seed + 77) < p
     if not is_sample.any():
         raise ValueError("no vertices sampled; increase p")
-    store = build_sorted_adjacency(spark, g, ctx, seed=seed)
+    store = build_sorted_adjacency(spark, g, ctx)
 
     def walk(ids, store, meter):
         csr, sample = store
@@ -130,8 +130,9 @@ def mpc_cycle_cc(
         nonlocal merged
         c, a, b = rows["c"].to_numpy(), rows["a"].to_numpy(), rows["b"].to_numpy()
         # A tail (heads stay put) merges into its minimum head neighbor.
-        mate = np.where(_heads(a, phase, seed), a, b)
-        has = ~_heads(c, phase, seed) & _heads(mate, phase, seed)
+        flip = seed * 1009 + phase
+        mate = np.where(coin(a, flip), a, b)
+        has = ~coin(c, flip) & coin(mate, flip)
         merged += int(has.sum())
         return pd.DataFrame({"old": c[has], "new": mate[has]})
 
@@ -151,7 +152,3 @@ def mpc_cycle_cc(
         uf.union(lut[int(a)], lut[int(b)])
     merged += len(labels) - uf.n_components
     return CycleResult(n_components=g.n - merged, ctx=ctx)
-
-
-def _heads(xs: np.ndarray, phase: int, seed: int) -> np.ndarray:
-    return (splitmix64(xs, seed * 1009 + phase) & np.uint64(1)).astype(bool)

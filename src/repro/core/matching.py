@@ -150,11 +150,15 @@ def ampc_maximal_matching(
     cache: bool = True,
     budget: int = 0,
     ctx: RoundContext | None = None,
-    sort: str = "edge_rank",
+    rank: np.ndarray | None = None,
 ) -> MatchingResult:
     """AMPC maximal matching: 1 shuffle per application of the vertex
     query process; with ``budget=0`` (untruncated, the practical §5.4
     configuration) a single application settles every vertex.
+
+    Edges are taken in the order of ``rank``, one per edge of ``g``
+    (default ``edge_rank(u, v, seed)``), as in
+    :func:`mpc_maximal_matching`.
 
     ``budget > 0`` caps the per-vertex query count at ``budget`` (the
     n^ε truncation); unsettled vertices are re-run on the residual
@@ -166,7 +170,10 @@ def ampc_maximal_matching(
     current = g
     while current.m:
         ctx.phases += 1
-        store = build_sorted_adjacency(spark, current, ctx, sort=sort, seed=seed)
+        store = build_sorted_adjacency(
+            spark, current, ctx,
+            edge_rank(current.u(), current.v(), seed) if rank is None else rank,
+        )
         vertices = np.unique(np.concatenate([current.u(), current.v()]))
         rows = adaptive_round(
             spark, ctx, store, vertices,
@@ -190,6 +197,7 @@ def ampc_maximal_matching(
         if len(residual) == current.m:  # pragma: no cover - safety valve
             raise RuntimeError("matching made no progress")
         current = GraphData(n=current.n, edges=residual, name=current.name)
+        rank = None if rank is None else rank[keep]
     return MatchingResult(edges=matched_edges, ctx=ctx)
 
 
@@ -252,17 +260,14 @@ def ampc_weighted_matching(
     ctx: RoundContext | None = None,
 ) -> MatchingResult:
     """Greedy maximum-weight matching via the AMPC engine: run the
-    vertex query process over adjacency sorted by *descending* weight
-    (= ascending negated weight), i.e. the lexicographically-first
+    vertex query process with the negated weight as the edge rank
+    (``rank=-w``, heaviest edge first), i.e. the lexicographically-first
     matching of the heaviest-first edge order — a classic 1/2
     approximation of the maximum weight matching (Corollary 4.1 gives
     2+ε; greedy achieves the 2 bound outright)."""
     if "w" not in g.edges.columns:
         raise ValueError("ampc_weighted_matching needs weighted edges")
-    neg = g.edges.copy()
-    neg["w"] = -neg["w"]
-    flipped = GraphData(n=g.n, edges=neg, name=g.name)
-    return ampc_maximal_matching(spark, flipped, seed=seed, ctx=ctx, sort="weight")
+    return ampc_maximal_matching(spark, g, seed=seed, ctx=ctx, rank=-g.w())
 
 
 def vertex_cover_from_matching(m: set[tuple[int, int]]) -> set[int]:

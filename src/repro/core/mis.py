@@ -4,16 +4,18 @@ Both implementations compute the *lexicographically-first MIS* over the
 hash-derived vertex permutation π = hash01(vertex, seed), so (paper:
 "By specifying the same source of randomness, both the MPC and AMPC
 algorithms compute the same MIS") their outputs are bit-identical to
-each other and to ``repro.reference.greedy_mis``.
+each other and to ``repro.reference.greedy_mis``. Both run on the
+vertices renamed to their π positions (:func:`_pi_positions`), so "earlier
+in π" is "smaller id".
 
 - :func:`ampc_mis` — Figure 1: one shuffle builds the priority-directed
   graph and writes it to the DHT; one adaptive round runs the
   Yoshida-style recursive query process with a per-partition (i.e.
   per-machine) memo cache.
-- :func:`mpc_mis` — Figure 2: rootset peeling on vertices renamed to
-  their π positions, 2 logical shuffles per phase in the rootset phase
-  it shares with MPC matching (:func:`repro.mpc.rootset_phase`),
-  switching to an in-memory finish below a cutoff.
+- :func:`mpc_mis` — Figure 2: rootset peeling, 2 logical shuffles per
+  phase in the rootset phase it shares with MPC matching
+  (:func:`repro.mpc.rootset_phase`), switching to an in-memory finish
+  below a cutoff.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.ampc.dht import CSRStore, Meter, adaptive_round, build_sorted_adjacency
+from repro.ampc.dht import CSRStore, Meter, adaptive_round, build_store, exchange_rows
 from repro.graphs.generators import GraphData
 from repro.hashing import hash01
 from repro.mpc import DEFAULT_CUTOFF_EDGES, RootsetRule, rootset_loop
@@ -33,6 +35,20 @@ from repro.runtime import RoundContext
 class MISResult:
     members: set[int]
     ctx: RoundContext
+
+
+def _pi_positions(g: GraphData, seed: int) -> tuple[np.ndarray, np.ndarray, GraphData]:
+    """π = hash01(vertex, seed) as positions: ``order[i]`` is the vertex
+    at position ``i``, ``pos`` is its inverse, and the graph is ``g``
+    with every vertex renamed to its position. Uncounted input
+    preparation, like the adjacency build: every machine can hash any
+    id."""
+    order = np.argsort(hash01(np.arange(g.n), seed), kind="stable")
+    pos = np.empty(g.n, dtype=np.int64)
+    pos[order] = np.arange(g.n)
+    a, b = pos[g.u()], pos[g.v()]
+    renamed = GraphData(n=g.n, edges=g.edges.assign(u=np.minimum(a, b), v=np.maximum(a, b)))
+    return order, pos, renamed
 
 
 # --------------------------------------------------------------------------
@@ -97,11 +113,15 @@ def ampc_mis(
     the DHT query count blows up accordingly.
     """
     ctx = ctx or RoundContext(model="ampc")
-    # Step (1)+(2): the single shuffle — direct edges by priority, write
-    # the directed graph to the key-value store.
-    store = build_sorted_adjacency(spark, g, ctx, sort="vertex_rank", direct=True, seed=seed)
+    order, pos, renamed = _pi_positions(g, seed)
+    # Step (1)+(2): the single shuffle — direct each edge from its later
+    # to its earlier end and write the directed graph to the key-value
+    # store, each row keyed by position.
+    earlier, later = renamed.u(), renamed.v()
+    store = build_store(ctx, exchange_rows(spark, later, earlier, earlier.astype(np.float64)))
 
-    # Step (3): adaptive round — IsInMIS over all vertices.
+    # Step (3): adaptive round — IsInMIS over all vertices, sliced in
+    # id order so each machine holds the same vertices.
     def run(ids, store, meter):
         shared_memo: dict[int, bool] = {}
         return [
@@ -109,9 +129,9 @@ def ampc_mis(
             for x in ids
         ]
 
-    rows = adaptive_round(spark, ctx, store, np.arange(g.n), run)
-    members = {x for x, in_mis in rows if in_mis}
-    return MISResult(members=members, ctx=ctx)
+    rows = adaptive_round(spark, ctx, store, pos, run)
+    members = order[[x for x, in_mis in rows if in_mis]]
+    return MISResult(members=set(members.tolist()), ctx=ctx)
 
 
 # --------------------------------------------------------------------------
@@ -156,26 +176,20 @@ def mpc_mis(
 ) -> MISResult:
     """Rootset-based MPC MIS (Figure 2): 2 logical shuffles per phase.
 
-    Each vertex is first renamed on the driver to its position in π
-    (uncounted input preparation, like the adjacency build; every
-    machine can hash any id). Per phase (:func:`repro.mpc.rootset_phase`):
-    roots, the local π minima, need no shuffle; shuffle 1 notifies their
-    neighbours; shuffle 2 sends each removed vertex's deletes to its
-    neighbours. Below ``cutoff_edges`` the residual is finished in
+    Per phase (:func:`repro.mpc.rootset_phase`), on the vertices renamed
+    to their π positions: roots, the local π minima, need no shuffle;
+    shuffle 1 notifies their neighbours; shuffle 2 sends each removed
+    vertex's deletes to its neighbours. Below ``cutoff_edges`` the residual is finished in
     memory (paper: single-machine finish below 5×10^7).
     """
     ctx = ctx or RoundContext(model="mpc")
-    order = np.argsort(hash01(np.arange(g.n), seed), kind="stable")
-    pos = np.empty(g.n, dtype=np.int64)
-    pos[order] = np.arange(g.n)
-    a, b = pos[g.u()], pos[g.v()]
-    renamed = GraphData(n=g.n, edges=g.edges.assign(u=np.minimum(a, b), v=np.maximum(a, b)))
+    order, _, renamed = _pi_positions(g, seed)
     roots, residual = rootset_loop(
         spark, renamed, ctx, _MIS,
         cutoff_edges=cutoff_edges, max_phases=max_phases, name="mpc_mis",
     )
     # Isolated vertices never enter the adjacency relation but belong to
     # every MIS.
-    isolated = np.flatnonzero(np.bincount(np.concatenate([a, b]), minlength=g.n) == 0)
+    isolated = np.flatnonzero(np.bincount(np.r_[renamed.u(), renamed.v()], minlength=g.n) == 0)
     found = roots + _greedy_residual_mis(residual) + isolated.tolist()
     return MISResult(members=set(order[found].tolist()), ctx=ctx)

@@ -13,14 +13,13 @@ must produce *exactly* the Kruskal edge set.
   stopping conditions: budget exhausted / component exhausted / a
   higher-priority vertex reached), emitting discovered MSF edges and
   (visited, visitor) tuples; (3) one shuffle writes each visited
-  vertex's visitors to the DHT, ordered by rank, with the same build as
-  step (1); (4) an adaptive pointer-jumping round reads the first
-  (highest-priority) visitor of each row as the parent and contracts
-  the visitor forest to roots; (5) three shuffles contract the graph
-  (relabel u, relabel v, regroup to the minimum edge per contracted
-  pair); the contracted graph — Ω(n^(ε/2)) times smaller, Lemma 3.3 —
-  is finished in memory (the stand-in for the DenseMSF black box of
-  Proposition 3.1).
+  vertex's highest-priority visitor to the DHT, with the same store
+  build as step (1); (4) an adaptive pointer-jumping round reads that
+  visitor as each row's parent and contracts the visitor forest to
+  roots; (5) three shuffles contract the graph (relabel u, relabel v,
+  regroup to the minimum edge per contracted pair); the contracted
+  graph — Ω(n^(ε/2)) times smaller, Lemma 3.3 — is finished in memory
+  (the stand-in for the DenseMSF black box of Proposition 3.1).
   Total: 5 shuffles, matching Table 3.
 - :func:`mpc_msf` — Borůvka baseline: per phase each blue component
   picks its minimum-weight incident edge and contracts into a red
@@ -151,7 +150,7 @@ def ampc_msf(
         budget = max(8, int(round(n**0.5)))  # n^(ε/2) with ε = 1
 
     # Part 1, shuffle 1: weight-sorted adjacency -> DHT.
-    store = build_sorted_adjacency(spark, g, ctx, sort="weight", seed=seed)
+    store = build_sorted_adjacency(spark, g, ctx, g.w())
 
     def run_prim(ids, store, meter):
         ranks_of = hash01(np.arange(n), seed).tolist().__getitem__
@@ -161,10 +160,13 @@ def ampc_msf(
     msf_edges = {(min(a, b), max(a, b)) for mes, _ in prim for a, b, _ in mes}
 
     # Part 2, shuffle 2: combine visit tuples — write each visited
-    # vertex's visitors to the DHT keyed by their rank, so a row's first
-    # entry is its highest-priority (lowest-rank) visitor: its parent.
-    xy = np.array([t for _, vis in prim for t in vis], dtype=np.int64).reshape(-1, 2)
-    visitors = build_store(ctx, exchange_rows(spark, xy[:, 0], xy[:, 1], hash01(xy[:, 1], seed)))
+    # vertex's highest-priority visitor (lowest rank, ties by id), its
+    # parent, to the DHT.
+    x, y = np.array([t for _, vis in prim for t in vis], dtype=np.int64).reshape(-1, 2).T
+    rank = hash01(y, seed)
+    order = np.lexsort((y, rank, x))
+    first = order[np.unique(x[order], return_index=True)[1]]
+    visitors = build_store(ctx, exchange_rows(spark, x[first], y[first], rank[first]))
 
     # Adaptive round: pointer jumping through the DHT (no shuffle —
     # "repeatedly queries the parent of a vertex until it hits a root").

@@ -12,9 +12,6 @@ Graphs here are plain numpy edge lists: ``u``, ``v`` int64 arrays with
 """
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterable
-
 import numpy as np
 
 from repro.hashing import edge_rank, hash01
@@ -76,25 +73,6 @@ def adjacency(n: int, u: np.ndarray, v: np.ndarray) -> list[np.ndarray]:
     return [np.sort(x) for x in adj]
 
 
-def bfs_levels(adj: list[np.ndarray], source: int) -> np.ndarray:
-    """BFS level per vertex; -1 for unreachable."""
-    n = len(adj)
-    level = np.full(n, -1, dtype=np.int64)
-    level[source] = 0
-    q = deque([source])
-    while q:
-        x = q.popleft()
-        for y in adj[x].tolist():
-            if level[y] < 0:
-                level[y] = level[x] + 1
-                q.append(y)
-    return level
-
-
-def eccentricity(adj: list[np.ndarray], source: int) -> int:
-    return int(bfs_levels(adj, source).max())
-
-
 def _csr(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric CSR ``(indptr, nbrs)`` of the canonical edge list."""
     src, dst = np.concatenate([u, v]), np.concatenate([v, u])
@@ -143,15 +121,13 @@ def exact_diameter(n: int, u: np.ndarray, v: np.ndarray) -> int:
 
 def double_sweep_diameter(n: int, u: np.ndarray, v: np.ndarray, seed: int = 0) -> int:
     """Double-sweep BFS lower bound on the diameter of the largest component."""
-    adj = adjacency(n, u, v)
+    indptr, nbrs = _csr(n, u, v)
     labels = connected_components(n, u, v)
     giant = np.bincount(labels, minlength=n).argmax()
     members = np.flatnonzero(labels == giant)
     start = int(members[int(hash01(np.array([seed]))[0] * len(members))])
-    lv = bfs_levels(adj, start)
-    lv_members = np.where(labels == giant, lv, -1)
-    far = int(lv_members.argmax())
-    return eccentricity(adj, far)
+    far = int(_frontier_bfs(indptr, nbrs, start).argmax())  # unreached vertices are -1
+    return int(_frontier_bfs(indptr, nbrs, far).max())
 
 
 def kruskal_msf(
@@ -167,10 +143,6 @@ def kruskal_msf(
         if uf.union(int(u[i]), int(v[i])):
             out.add((int(u[i]), int(v[i])))
     return out
-
-
-def msf_weight(edges: Iterable[tuple[int, int]], weight_of: dict) -> float:
-    return float(sum(weight_of[e] for e in edges))
 
 
 def greedy_mis(n: int, u: np.ndarray, v: np.ndarray, seed: int = 0) -> set[int]:

@@ -11,6 +11,7 @@ from repro.core.matching import (
     vertex_cover_from_matching,
 )
 from repro.graphs import generators as gen
+from repro.runtime import RoundContext
 
 
 def _brute_max_weight_matching(u, v, w):
@@ -66,6 +67,27 @@ def test_weighted_matching_is_heaviest_first_greedy(spark):
             matched.update((a, b))
             want.add((a, b))
     assert got == want
+
+
+#: ``(queries, cache hits, kv_bytes)`` of the pinned weighted matching
+#: by ``defaultParallelism``; ``kv_bytes`` is the 73,216 B payload (both
+#: orientations of every edge) plus two words per query.
+_WEIGHTED_PINNED = {
+    1: (4226, 1038, 140832), 2: (7212, 2407, 188608), 3: (9890, 3609, 231456),
+    4: (12202, 4683, 268448), 8: (19870, 8290, 391136), 16: (31878, 14151, 583264),
+}
+
+
+def test_weighted_matching_counts_pinned(spark):
+    """Queries, cache hits and ``kv_bytes`` with ``rank=-w``: a row out
+    of heaviest-first order would change the queries."""
+    g = gen.with_degree_weights(gen.chung_lu(500, 8, 2.2, seed=3))
+    ctx = RoundContext(model="ampc")
+    ampc_weighted_matching(spark, g, seed=0, ctx=ctx)
+    assert ctx.kv_bytes - 16 * ctx.queries == 73_216
+    pinned = _WEIGHTED_PINNED.get(spark.sparkContext.defaultParallelism)
+    if pinned is not None:  # recorded for these slicings only
+        assert (ctx.queries, ctx.cache_hits, ctx.kv_bytes) == pinned
 
 
 def test_weighted_matching_requires_weights(spark):

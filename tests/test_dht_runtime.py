@@ -5,12 +5,13 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro import reference as ref
 from repro.ampc import dht as dht_mod
 from repro.ampc.cost import LATENCY_S, modeled_time
 from repro.ampc.dht import CSRStore, Meter, adaptive_round, build_sorted_adjacency
 from repro.graphs import generators as gen
 from repro.graphs.generators import GraphData
-from repro.hashing import edge_rank, hash01
+from repro.hashing import edge_rank
 from repro.runtime import RoundContext
 
 
@@ -84,85 +85,44 @@ class TestCSRStore:
 
 
 class TestBuildSortedAdjacency:
-    def test_vertex_rank_sorted(self, spark):
+    def test_default_orders_by_id(self, spark):
+        """Without a rank, every row holds all neighbors in id order."""
         g = gen.chung_lu(50, 5, 2.2, seed=0)
         ctx = RoundContext(model="ampc")
-        store = build_sorted_adjacency(
-            spark, g, ctx, sort="vertex_rank", seed=3
-        )
+        store = build_sorted_adjacency(spark, g, ctx)
         assert ctx.shuffles == 1
-        for src, nbrs, keys in _rows(store):
-            assert np.all(np.diff(keys) >= 0)
-            assert np.allclose(keys, hash01(nbrs, 3))
-
-    def test_direct_keeps_only_earlier(self, spark):
-        g = gen.chung_lu(60, 5, 2.2, seed=1)
-        ctx = RoundContext(model="ampc")
-        store = build_sorted_adjacency(
-            spark, g, ctx, sort="vertex_rank", direct=True, seed=0
-        )
-        for src, nbrs, keys in _rows(store):
-            r_src = hash01(np.array([src]), 0)[0]
-            assert (keys < r_src).all()
-
-    def test_direct_halves_entries(self, spark):
-        g = gen.chung_lu(60, 5, 2.2, seed=1)
-        full = build_sorted_adjacency(
-            spark, g, RoundContext(model="ampc"), sort="vertex_rank"
-        )
-        direct = build_sorted_adjacency(
-            spark,
-            g,
-            RoundContext(model="ampc"),
-            sort="vertex_rank",
-            direct=True,
-        )
-        assert len(full.dst) == 2 * g.m
-        assert len(direct.dst) == g.m  # each edge kept in exactly one direction
+        adj = ref.adjacency(g.n, g.u(), g.v())
+        for x in range(g.n):
+            nbrs, keys = store.get(x)
+            assert nbrs.tolist() == adj[x].tolist()
+            assert not keys.any()
 
     def test_edge_rank_sorted(self, spark):
+        """A given rank is the key of its edge in both orientations, and
+        each row is sorted by it."""
         g = gen.chung_lu(40, 4, 2.2, seed=2)
         store = build_sorted_adjacency(
-            spark, g, RoundContext(model="ampc"), sort="edge_rank", seed=1
+            spark, g, RoundContext(model="ampc"), edge_rank(g.u(), g.v(), 1)
         )
+        assert len(store.dst) == 2 * g.m
         for src, nbrs, keys in _rows(store):
             srcs = np.full(len(nbrs), src, dtype=np.int64)
-            assert np.allclose(keys, edge_rank(srcs, nbrs, 1))
+            assert np.array_equal(keys, edge_rank(srcs, nbrs, 1))
             assert np.all(np.diff(keys) >= 0)
 
     def test_weight_sorted(self, spark):
         g = gen.with_degree_weights(gen.chung_lu(40, 4, 2.2, seed=3))
-        store = build_sorted_adjacency(
-            spark, g, RoundContext(model="ampc"), sort="weight"
-        )
+        store = build_sorted_adjacency(spark, g, RoundContext(model="ampc"), g.w())
         wt = {(min(a, b), max(a, b)): w for a, b, w in zip(g.u(), g.v(), g.w())}
         for src, nbrs, keys in _rows(store):
             assert np.all(np.diff(keys) >= 0)
             for y, k in zip(nbrs.tolist(), keys.tolist()):
-                assert wt[(min(src, y), max(src, y))] == pytest.approx(k)
-
-    def test_weight_sort_requires_w(self, spark):
-        g = gen.chung_lu(20, 3, 2.2, seed=0)
-        with pytest.raises(ValueError, match="needs a 'w' column"):
-            build_sorted_adjacency(
-                spark, g, RoundContext(model="ampc"), sort="weight"
-            )
-
-    def test_direct_requires_vertex_rank(self, spark):
-        g = gen.chung_lu(20, 3, 2.2, seed=0)
-        with pytest.raises(ValueError):
-            build_sorted_adjacency(
-                spark,
-                g,
-                RoundContext(model="ampc"),
-                sort="edge_rank",
-                direct=True,
-            )
+                assert wt[(min(src, y), max(src, y))] == k
 
     def test_payload_bytes_recorded(self, spark):
         g = gen.chung_lu(30, 4, 2.2, seed=0)
         ctx = RoundContext(model="ampc")
-        store = build_sorted_adjacency(spark, g, ctx, sort="vertex_rank")
+        store = build_sorted_adjacency(spark, g, ctx, edge_rank(g.u(), g.v()))
         rows = np.count_nonzero(np.diff(store.indptr))
         assert store.payload_bytes == (2 * 2 * g.m + rows) * 8
         assert ctx.kv_bytes == store.payload_bytes
@@ -170,39 +130,30 @@ class TestBuildSortedAdjacency:
     def test_indptr_well_formed(self, spark):
         g = gen.chung_lu(50, 5, 2.2, seed=4)
         store = build_sorted_adjacency(
-            spark, g, RoundContext(model="ampc"), sort="edge_rank"
+            spark, g, RoundContext(model="ampc"), edge_rank(g.u(), g.v())
         )
         assert np.all(np.diff(store.indptr) >= 0)
         assert store.indptr[0] == 0 and store.indptr[-1] == len(store.dst) == len(store.key)
+        assert np.array_equal(np.diff(store.indptr), np.bincount(np.r_[g.u(), g.v()]))
 
     def test_tied_keys_and_permuted_rows(self, spark):
         """Ties in ``key`` break by ``dst``, so the arrays do not depend on
-        the order of the input rows; vertices without a kept neighbor and
-        ids past the end read as empty."""
+        the order of the input rows; vertices without a neighbor and ids
+        past the end read as empty."""
         built = []
         for seed in (0, 1):
             g = _star_tied(6, np.random.default_rng(seed).permutation(11))
-            built.append(
-                build_sorted_adjacency(
-                    spark, g, RoundContext(model="ampc"), sort="weight"
-                )
-            )
+            built.append(build_sorted_adjacency(spark, g, RoundContext(model="ampc"), g.w()))
         a, b = built
         for name in ("indptr", "dst", "key"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
         assert a.get(0)[0].tolist() == [1, 2, 3, 4, 5, 6]
         assert a.get(3)[0].tolist() == [0, 2, 4]
-        for x in (7, 100):
-            assert len(a.get(x)[0]) == 0
-        direct = build_sorted_adjacency(
-            spark,
-            _star_tied(6, np.arange(11)),
-            RoundContext(model="ampc"),
-            direct=True,
-        )
-        ranks = hash01(np.arange(7), 0)
-        first = int(ranks.argmin())  # no neighbor precedes it in π
-        assert len(direct.get(first)[0]) == 0
+        g = _star_tied(6, np.arange(11))
+        g = GraphData(n=g.n + 1, edges=g.edges)  # vertex 7 has no edge
+        store = build_sorted_adjacency(spark, g, RoundContext(model="ampc"))
+        for x in (7, 8, 100):
+            assert len(store.get(x)[0]) == 0
 
     def test_one_exchange_in_plan(self, spark, monkeypatch):
         """The logical shuffle is the only Exchange Spark executes."""
@@ -224,7 +175,7 @@ class TestBuildSortedAdjacency:
         none = np.empty(0, dtype=np.int64)
         g = GraphData(n=4, edges=pd.DataFrame({"u": none, "v": none}))
         ctx = RoundContext(model="ampc")
-        store = build_sorted_adjacency(spark, g, ctx, sort="edge_rank")
+        store = build_sorted_adjacency(spark, g, ctx, edge_rank(g.u(), g.v()))
         assert len(store.dst) == len(store.key) == 0
         assert store.indptr.tolist() == [0]
         assert store.payload_bytes == 0 and ctx.shuffles == 1
@@ -241,7 +192,7 @@ def _executed_build_plan(spark, monkeypatch, ctx: RoundContext) -> str:
     exchange = dht_mod.exchange_rows
     monkeypatch.setattr(dht_mod, "exchange_rows", spy)
     g = gen.chung_lu(50, 5, 2.2, seed=0)
-    build_sorted_adjacency(spark, g, ctx, sort="edge_rank")
+    build_sorted_adjacency(spark, g, ctx, edge_rank(g.u(), g.v()))
     return built[0]._jdf.queryExecution().executedPlan().toString()
 
 

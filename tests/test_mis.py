@@ -93,6 +93,35 @@ def test_ampc_mis_cache_reduces_queries(spark):
     assert off.queries > on.queries
 
 
+#: ``ampc_mis`` on OK: the DHT payload (one entry per edge, in one
+#: orientation) and ``(queries, cache hits, kv_bytes)`` by
+#: ``defaultParallelism``, as the per-machine cache makes the cached
+#: counts depend on the slicing of the round.
+_MIS_PINNED = {
+    (0, True): (918_664, {
+        1: (4000, 1266, 950664), 2: (5772, 2779, 964840), 3: (7122, 3955, 975640),
+        4: (8179, 4898, 984096), 8: (11131, 7667, 1007712), 16: (14785, 11147, 1036944),
+    }),
+    (1, False): (918_640, dict.fromkeys((1, 2, 3, 4, 8, 16), (46236, 42236, 1288528))),
+}
+
+
+@pytest.mark.parametrize("seed,cache", list(_MIS_PINNED), ids=["seed0", "seed1_no_cache"])
+def test_ampc_mis_counts_pinned(spark, seed, cache):
+    """Queries, cache hits and ``kv_bytes`` on OK. A store that kept both
+    orientations of an edge would change ``kv_bytes``; a row out of π
+    order would change the queries."""
+    g = gen.dataset("OK")
+    ctx = RoundContext(model="ampc")
+    members = ampc_mis(spark, g, seed=seed, cache=cache, ctx=ctx).members
+    assert members == ref.greedy_mis(g.n, g.u(), g.v(), seed)
+    payload, by_parallelism = _MIS_PINNED[seed, cache]
+    assert ctx.kv_bytes - 8 * ctx.queries == payload  # one word per query
+    pinned = by_parallelism.get(spark.sparkContext.defaultParallelism)
+    if pinned is not None:  # recorded for these slicings only
+        assert (ctx.queries, ctx.cache_hits, ctx.kv_bytes) == pinned
+
+
 @pytest.mark.parametrize("seed", [0, 3])
 def test_ampc_mis_is_valid_mis(spark, seed):
     g = gen.chung_lu(200, 7, 2.1, seed=6)

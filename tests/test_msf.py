@@ -9,7 +9,8 @@ import pandas as pd
 import pytest
 
 from repro import reference as ref
-from repro.ampc.dht import build_sorted_adjacency
+from repro.ampc.dht import build_sorted_adjacency, build_store
+from repro.core import msf as msf_mod
 from repro.core.msf import ampc_msf, mpc_msf
 from repro.graphs import generators as gen
 from repro.runtime import RoundContext
@@ -107,13 +108,41 @@ def test_ampc_msf_charges_query_bytes(spark):
     """Like every AMPC round, Prim and pointer jumping charge each
     lookup's words to ``kv_bytes`` on top of the DHT payload."""
     g = _weighted(gen.chung_lu(150, 8, 2.0, seed=2))
-    payload = build_sorted_adjacency(
-        spark, g, RoundContext(model="ampc"), sort="weight"
-    ).payload_bytes
+    payload = build_sorted_adjacency(spark, g, RoundContext(model="ampc"), g.w()).payload_bytes
     ctx = RoundContext(model="ampc")
     ampc_msf(spark, g, seed=0, ctx=ctx)
     assert ctx.queries > 0
     assert ctx.kv_bytes >= payload + 8 * ctx.queries
+
+
+#: ``(queries, kv_bytes, max_pointer_jump)`` of ``ampc_msf`` on weighted
+#: OK by ``defaultParallelism``: pointer jumping memoizes per machine.
+_MSF_OK_PINNED = {
+    1: (24703, 2267248, 6), 2: (25546, 2273992, 6), 3: (25935, 2277104, 6),
+    4: (26227, 2279440, 6), 8: (26955, 2285264, 6), 16: (27637, 2290720, 7),
+}
+
+
+def test_ampc_msf_visitor_store_one_entry_per_row(spark, monkeypatch):
+    """The visitor combine writes only each visited vertex's
+    highest-priority visitor: one entry per row, 93,792 B on OK."""
+    stores = []
+
+    def spy(ctx, rows):
+        stores.append(build_store(ctx, rows))
+        return stores[-1]
+
+    monkeypatch.setattr(msf_mod, "build_store", spy)
+    g = _weighted(gen.dataset("OK"))
+    ctx = RoundContext(model="ampc")
+    assert ampc_msf(spark, g, seed=0, ctx=ctx).edges == _kruskal(g)
+    (visitors,) = stores
+    assert np.diff(visitors.indptr).max() == 1
+    assert visitors.payload_bytes == 93_792
+    assert ctx.notes["contracted_vertices"] == 92
+    pinned = _MSF_OK_PINNED.get(spark.sparkContext.defaultParallelism)
+    if pinned is not None:  # recorded for these slicings only
+        assert (ctx.queries, ctx.kv_bytes, ctx.notes["max_pointer_jump"]) == pinned
 
 
 def test_ampc_msf_contraction_shrinks(spark):

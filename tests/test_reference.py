@@ -85,19 +85,23 @@ class TestBFSandDiameter:
         assert lb >= exact / 2
 
     def test_bfs_levels_unreachable(self):
-        adj = ref.adjacency(4, np.array([0]), np.array([1]))
-        lv = ref.bfs_levels(adj, 0)
-        assert lv[1] == 1 and lv[2] == -1 and lv[3] == -1
+        indptr, nbrs = ref._csr(4, np.array([0]), np.array([1]))
+        lv = ref._frontier_bfs(indptr, nbrs, 0)
+        assert lv.tolist() == [0, 1, -1, -1]
 
 
 def _all_sources_diameter(n, u, v):
-    """The O(n·m) diameter: a BFS from every vertex of the largest
-    component. The oracle for iFUB."""
-    adj = ref.adjacency(n, u, v)
+    """The O(n^3) diameter of the largest component by Floyd–Warshall:
+    the oracle for iFUB, sharing no BFS with it."""
+    d = np.full((n, n), np.inf)
+    np.fill_diagonal(d, 0)
+    d[u, v] = d[v, u] = 1
+    for k in range(n):
+        np.minimum(d, d[:, k, None] + d[k], out=d)
     labels = ref.connected_components(n, u, v)
     giant = np.bincount(labels, minlength=n).argmax()
     members = np.flatnonzero(labels == giant)
-    return max(int(ref.bfs_levels(adj, s)[members].max()) for s in members.tolist())
+    return int(d[np.ix_(members, members)].max())
 
 
 def _diameter_case(i):
