@@ -42,7 +42,7 @@ class CycleResult:
 def _check_2_regular(g: GraphData) -> None:
     """Raise on the driver, before any Spark job, unless ``g`` is a
     union of cycles: every vertex has degree exactly 2."""
-    if (np.bincount(np.concatenate([g.u(), g.v()]), minlength=g.n) != 2).any():
+    if (g.degrees() != 2).any():
         raise ValueError("1-vs-2-Cycle needs every vertex to have degree 2")
 
 

@@ -8,8 +8,9 @@ their outputs are identical to each other and to
 - :func:`ampc_maximal_matching` — Theorem 2 part 2 / §5.4: the edge
   rank-sorted graph is written to the DHT with one shuffle; one
   adaptive round runs the *vertex* query process (iterate incident
-  edges by increasing rank, resolve each with the Yoshida-style edge
-  recursion) with a per-machine cache. An optional per-vertex query
+  edges by increasing rank, resolve each with the MIS query process
+  :func:`repro.core.mis.in_mis` on the line graph, whose nodes are the
+  edges) with a per-machine cache. An optional per-vertex query
   budget reproduces the n^ε truncation of Lemma 4.7: unsettled vertices
   are retried in further applications of the process (each application
   = 1 extra shuffle to rebuild the residual DHT).
@@ -27,12 +28,15 @@ their outputs are identical to each other and to
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
+from typing import Iterator
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.ampc.dht import CSRStore, Meter, adaptive_round, build_sorted_adjacency
+from repro.core.mis import in_mis
 from repro.graphs.generators import GraphData
 from repro.hashing import edge_rank
 from repro.mpc import DEFAULT_CUTOFF_EDGES, RootsetRule, rootset_loop
@@ -53,87 +57,51 @@ class _Truncated(Exception):
     """Raised when a vertex process exceeds its query budget (Lemma 4.7)."""
 
 
-def _resolve_edge(
-    a: int, b: int, r: float, indptr: list, dst: list, key: list,
-    memo: dict, meter: Meter, budget: list,
-) -> bool:
-    """Yoshida edge process: (a, b) of rank r is matched iff no
-    lower-rank adjacent edge is. Iterative with explicit frames
-    ``[a, b, r, ia, ib]``: ``ia``/``ib`` are absolute offsets into the
-    CSR lists ``dst``/``key`` within the rows of ``a`` and ``b`` (-1
-    until the frame has read them), and adjacent edges are the merge of
-    those two rank-sorted rows, stopping at r."""
-    root = _edge_id(a, b)
-    stack: list[list] = [[a, b, r, -1, -1]]
-    while stack:
-        frame = stack[-1]
-        a, b, r, ia, ib = frame
-        e = _edge_id(a, b)
-        if e in memo:
-            stack.pop()
-            continue
-        if ia < 0:
-            meter.lookup(words=2)
-            meter.lookup(words=2)
-            budget[0] += 2
-            ia, ib = indptr[a], indptr[b]
-        else:
-            meter.hit()
-        if budget[0] > budget[1] > 0:
-            raise _Truncated()
-        ea, eb = indptr[a + 1], indptr[b + 1]
-        decided: bool | None = None
-        while True:
-            # Next adjacent edge in the merged rank order, skipping e itself.
-            ra = key[ia] if ia < ea else np.inf
-            rb = key[ib] if ib < eb else np.inf
-            if min(ra, rb) >= r:
-                decided = True
-                break
-            if ra < rb:
-                x, y, r_nxt, adv = a, dst[ia], ra, (ia + 1, ib)
-            else:
-                x, y, r_nxt, adv = b, dst[ib], rb, (ia, ib + 1)
-            nxt = _edge_id(x, y)
-            if nxt == e:
-                ia, ib = adv
-                continue
-            res = memo.get(nxt)
-            if res is None:
-                # Save *pre*-advance offsets: the resumed frame must
-                # re-pick this edge and read its now-memoized result.
-                frame[3], frame[4] = ia, ib
-                stack.append([x, y, r_nxt, -1, -1])
-                break
-            if res:
-                decided = False
-                break
-            ia, ib = adv
-        if decided is not None:
-            memo[e] = decided
-            stack.pop()
-    return memo[root]
-
-
 def _vertex_process(
     ids: list[int], store: CSRStore, meter: Meter, cache: bool, budget: int
 ) -> list[tuple[int, int, bool]]:
     """One machine's share of the matching round: each vertex in ``ids``
     takes the first of its incident edges, by increasing rank, that is
-    matched. Returns the ``(a, partner or -1, settled)`` rows; ``cache``
-    shares one memo across the machine's vertices."""
+    in the MIS of the line graph (:func:`repro.core.mis.in_mis`).
+    Returns the ``(a, partner or -1, settled)`` rows; ``cache`` shares
+    one memo across the machine's vertices, and ``budget > 0`` caps the
+    lookups each vertex's process makes (Lemma 4.7)."""
     indptr, dst, key = store.indptr.tolist(), store.dst.tolist(), store.key.tolist()
+
+    def earlier(edge: tuple[int, int, float]) -> Iterator[tuple[int, int, float]]:
+        """The edges sharing an end with ``edge`` of lower rank: the
+        merge of its ends' rank-sorted rows, stopping at its own rank."""
+        nonlocal spent
+        a, b, r = edge
+        meter.lookup(words=2)
+        meter.lookup(words=2)
+        spent += 2
+        if spent > budget > 0:
+            raise _Truncated()
+        ia, ea, ib, eb = indptr[a], indptr[a + 1], indptr[b], indptr[b + 1]
+        while True:
+            ra = key[ia] if ia < ea else inf
+            rb = key[ib] if ib < eb else inf
+            if min(ra, rb) >= r:
+                return
+            if ra < rb:
+                x, y, s, ia = a, dst[ia], ra, ia + 1
+            else:
+                x, y, s, ib = b, dst[ib], rb, ib + 1
+            yield (x, y, s) if x < y else (y, x, s)
+
     shared_memo: dict = {}
     rows: list[tuple[int, int, bool]] = []
     for x in ids:
         memo = shared_memo if cache else {}
-        spent = [0, budget]
+        spent = 0
         partner = -1
         settled = True
         for i in range(indptr[x], indptr[x + 1]):
+            y = dst[i]
             try:
-                if _resolve_edge(x, dst[i], key[i], indptr, dst, key, memo, meter, spent):
-                    partner = dst[i]
+                if in_mis((x, y, key[i]) if x < y else (y, x, key[i]), earlier, memo, meter):
+                    partner = y
                     break
             except _Truncated:
                 settled = False
@@ -157,8 +125,9 @@ def ampc_maximal_matching(
     configuration) a single application settles every vertex.
 
     Edges are taken in the order of ``rank``, one per edge of ``g``
-    (default ``edge_rank(u, v, seed)``), as in
-    :func:`mpc_maximal_matching`.
+    (default ``edge_rank(u, v, seed)``, as in
+    :func:`mpc_maximal_matching`); ties in a given ``rank`` break by
+    ``(u, v)``.
 
     ``budget > 0`` caps the per-vertex query count at ``budget`` (the
     n^ε truncation); unsettled vertices are re-run on the residual
@@ -166,6 +135,10 @@ def ampc_maximal_matching(
     empty the graph.
     """
     ctx = ctx or RoundContext(model="ampc")
+    if rank is not None:  # distinct ranks: an edge's position in (rank, u, v) order
+        order = np.lexsort((g.v(), g.u(), rank))
+        rank = np.empty(g.m)
+        rank[order] = np.arange(g.m)
     matched_edges: set[tuple[int, int]] = set()
     current = g
     while current.m:
@@ -212,11 +185,7 @@ def ampc_matching_loglog(
     subgraphs H_i = {e : π(e) ≤ Δ^(-0.5^i)}, each solved by the AMPC
     matching engine, removing matched vertices between iterations."""
     ctx = ctx or RoundContext(model="ampc")
-    u, v = g.u(), g.v()
-    deg = np.zeros(g.n, dtype=np.int64)
-    np.add.at(deg, u, 1)
-    np.add.at(deg, v, 1)
-    delta = max(int(deg.max()), 2)
+    delta = max(int(g.degrees().max(initial=0)), 2)
     k = int(np.ceil(np.log2(max(np.log2(delta), 1.0)))) + 1
     log_n = np.log(max(g.n, 2))
     matched: set[tuple[int, int]] = set()
@@ -225,10 +194,7 @@ def ampc_matching_loglog(
         if current.m == 0:
             break
         cu, cv = current.u(), current.v()
-        cdeg = np.zeros(g.n, dtype=np.int64)
-        np.add.at(cdeg, cu, 1)
-        np.add.at(cdeg, cv, 1)
-        if cdeg.max() > 10 * log_n:
+        if current.degrees().max() > 10 * log_n:
             thresh = float(delta) ** -(0.5**i)
             keep = edge_rank(cu, cv, seed) <= thresh
             h = GraphData(n=g.n, edges=current.edges.loc[keep].reset_index(drop=True))
@@ -261,10 +227,10 @@ def ampc_weighted_matching(
 ) -> MatchingResult:
     """Greedy maximum-weight matching via the AMPC engine: run the
     vertex query process with the negated weight as the edge rank
-    (``rank=-w``, heaviest edge first), i.e. the lexicographically-first
-    matching of the heaviest-first edge order — a classic 1/2
-    approximation of the maximum weight matching (Corollary 4.1 gives
-    2+ε; greedy achieves the 2 bound outright)."""
+    (``rank=-w``, heaviest edge first, ties by ``(u, v)``), i.e. the
+    lexicographically-first matching of the heaviest-first edge order —
+    a classic 1/2 approximation of the maximum weight matching
+    (Corollary 4.1 gives 2+ε; greedy achieves the 2 bound outright)."""
     if "w" not in g.edges.columns:
         raise ValueError("ampc_weighted_matching needs weighted edges")
     return ampc_maximal_matching(spark, g, seed=seed, ctx=ctx, rank=-g.w())

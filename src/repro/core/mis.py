@@ -8,10 +8,14 @@ each other and to ``repro.reference.greedy_mis``. Both run on the
 vertices renamed to their π positions (:func:`_pi_positions`), so "earlier
 in π" is "smaller id".
 
+- :func:`in_mis` — the randomized greedy MIS query process of Yoshida,
+  Yamamoto and Ito, over any conflict graph given by its callback of
+  earlier conflicts; AMPC MIS and AMPC matching (on the line graph) both
+  run it.
 - :func:`ampc_mis` — Figure 1: one shuffle builds the priority-directed
-  graph and writes it to the DHT; one adaptive round runs the
-  Yoshida-style recursive query process with a per-partition (i.e.
-  per-machine) memo cache.
+  graph and writes it to the DHT; one adaptive round runs
+  :func:`in_mis` on π positions with a per-partition (i.e. per-machine)
+  memo cache.
 - :func:`mpc_mis` — Figure 2: rootset peeling, 2 logical shuffles per
   phase in the rootset phase it shares with MPC matching
   (:func:`repro.mpc.rootset_phase`), switching to an in-memory finish
@@ -20,6 +24,7 @@ in π" is "smaller id".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable, Iterator
 
 import numpy as np
 from pyspark.sql import SparkSession
@@ -55,46 +60,71 @@ def _pi_positions(g: GraphData, seed: int) -> tuple[np.ndarray, np.ndarray, Grap
 # AMPC (Figure 1)
 # --------------------------------------------------------------------------
 
-def _resolve_in_mis(root: int, store: CSRStore, memo: dict, meter: Meter) -> bool:
-    """Iterative version of Figure 1's ``InMIS`` recursion.
+def in_mis(root, earlier: Callable[[Any], Iterator], memo: dict, meter: Meter) -> bool:
+    """The randomized greedy MIS query process of Yoshida, Yamamoto and
+    Ito, as an explicit frame stack: a node is in the
+    lexicographically-first MIS of a conflict graph iff none of its
+    earlier conflicts is.
 
-    A vertex is in the MIS iff none of its earlier-permutation
-    neighbors is. Frames carry a resume index so each neighbor list is
-    scanned once; ``memo`` is the per-machine cache (may be scoped
-    per-root when the caching optimization is disabled).
+    ``earlier(node)`` charges the node's store reads to ``meter`` and
+    returns an iterator over its earlier conflicts, in order. A frame
+    that waited on an unresolved conflict resumes at that conflict and
+    records a cache hit. ``memo`` is the per-machine cache (per-root
+    when the caching optimization is off). AMPC MIS runs it on π
+    positions, AMPC matching on the line graph.
     """
-    frames: list[list] = [[root, 0, None]]  # [vertex, next nbr index, nbrs]
+    if root in memo:
+        return memo[root]
+    frames: list[list] = [[root, None, None]]  # [node, conflicts, waited-on conflict]
     while frames:
         frame = frames[-1]
-        x = frame[0]
-        if x in memo:
-            frames.pop()
-            continue
-        if frame[2] is None:
-            meter.lookup(words=1)
-            frame[2] = store.get(x)[0]
+        x, conflicts, waited = frame
+        if conflicts is None:
+            conflicts = frame[1] = earlier(x)
+            free = True
         else:
-            meter.hit()  # resumed frame: neighbor list already fetched
-        nbrs = frame[2]
-        decided: bool | None = None
-        i = frame[1]
-        while i < len(nbrs):
-            y = int(nbrs[i])
-            r = memo.get(y)
-            if r is None:
-                frame[1] = i
-                frames.append([y, 0, None])
-                break
-            if r:  # an earlier neighbor is in the MIS -> x is not
-                decided = False
-                break
-            i += 1
-        else:
-            decided = True  # all earlier neighbors resolved to False
-        if decided is not None:
-            memo[x] = decided
+            meter.hit()  # resumed frame: its conflicts were already fetched
+            free = not memo[waited]
+        pending = None
+        if free:
+            for y in conflicts:
+                r = memo.get(y)
+                if r is None:
+                    pending = y
+                    break
+                if r:  # an earlier conflict is in the MIS -> x is not
+                    free = False
+                    break
+        if pending is None:
+            memo[x] = free
             frames.pop()
+        else:
+            frame[2] = pending
+            frames.append([pending, None, None])
     return memo[root]
+
+
+def _mis_process(
+    ids: list[int], store: CSRStore, meter: Meter, cache: bool
+) -> list[tuple[int, bool]]:
+    """One machine's share of the MIS round: ``(x, x in the MIS)`` for
+    each position in ``ids``. A node's earlier conflicts are its row,
+    read with one 1-word lookup; ``cache`` shares one memo across the
+    machine's positions."""
+    indptr, dst = store.indptr.tolist(), store.dst.tolist()
+    rows_end = len(indptr) - 1
+
+    def earlier(x: int) -> Iterator[int]:
+        meter.lookup(words=1)
+        if x >= rows_end:  # no row, as in CSRStore.get
+            return iter(())
+        lo, hi = indptr[x], indptr[x + 1]
+        if hi > lo and dst[hi - 1] >= x:
+            raise RuntimeError(f"MIS store row {x} lists a neighbour not earlier in π")
+        return iter(dst[lo:hi])
+
+    shared_memo: dict[int, bool] = {}
+    return [(x, in_mis(x, earlier, shared_memo if cache else {}, meter)) for x in ids]
 
 
 def ampc_mis(
@@ -122,14 +152,10 @@ def ampc_mis(
 
     # Step (3): adaptive round — IsInMIS over all vertices, sliced in
     # id order so each machine holds the same vertices.
-    def run(ids, store, meter):
-        shared_memo: dict[int, bool] = {}
-        return [
-            (x, _resolve_in_mis(x, store, shared_memo if cache else {}, meter))
-            for x in ids
-        ]
-
-    rows = adaptive_round(spark, ctx, store, pos, run)
+    rows = adaptive_round(
+        spark, ctx, store, pos,
+        lambda ids, store, meter: _mis_process(ids, store, meter, cache),
+    )
     members = order[[x for x, in_mis in rows if in_mis]]
     return MISResult(members=set(members.tolist()), ctx=ctx)
 
@@ -190,6 +216,6 @@ def mpc_mis(
     )
     # Isolated vertices never enter the adjacency relation but belong to
     # every MIS.
-    isolated = np.flatnonzero(np.bincount(np.r_[renamed.u(), renamed.v()], minlength=g.n) == 0)
+    isolated = np.flatnonzero(renamed.degrees() == 0)
     found = roots + _greedy_residual_mis(residual) + isolated.tolist()
     return MISResult(members=set(order[found].tolist()), ctx=ctx)

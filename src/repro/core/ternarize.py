@@ -46,9 +46,7 @@ def ternarize(g: GraphData) -> Ternarized:
     if "w" not in g.edges.columns:
         raise ValueError("ternarize needs weighted edges")
     u, v, w = g.u(), g.v(), g.w()
-    deg = np.zeros(g.n, dtype=np.int64)
-    np.add.at(deg, u, 1)
-    np.add.at(deg, v, 1)
+    deg = g.degrees()
 
     next_id = g.n
     # Per original vertex: either itself (deg <= 3) or its cycle ids.
@@ -89,10 +87,7 @@ def ternarize(g: GraphData) -> Ternarized:
     edges[["u", "v"]] = np.sort(edges[["u", "v"]].to_numpy(), axis=1)
     g3 = GraphData(n=next_id, edges=edges.sort_values(["u", "v"], ignore_index=True))
 
-    d3 = np.zeros(next_id, dtype=np.int64)
-    np.add.at(d3, g3.u(), 1)
-    np.add.at(d3, g3.v(), 1)
-    assert d3.max() <= 3, "ternarization failed to bound degrees"
+    assert g3.degrees().max(initial=0) <= 3, "ternarization failed to bound degrees"
     return Ternarized(graph=g3, origin=origin_arr, dummy_below=w_min - 0.5)
 
 

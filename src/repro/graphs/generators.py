@@ -50,6 +50,9 @@ class GraphData:
     def w(self) -> np.ndarray:
         return self.edges["w"].to_numpy()
 
+    def degrees(self) -> np.ndarray:
+        return np.bincount(np.r_[self.u(), self.v()], minlength=self.n)
+
     def to_spark(self, spark: SparkSession) -> DataFrame:
         cols = [c for c in ("u", "v", "w") if c in self.edges.columns]
         schema = ", ".join(f"{c} {'double' if c == 'w' else 'long'}" for c in cols)
@@ -173,9 +176,7 @@ def with_degree_weights(g: GraphData, seed: int = 0) -> GraphData:
     """MSF weights per §5.2: w(u,v) ∝ deg(u)+deg(v), plus a hash-derived
     jitter in (0, 1) so all weights are distinct and the MSF is unique."""
     u, v = g.u(), g.v()
-    deg = np.zeros(g.n, dtype=np.int64)
-    np.add.at(deg, u, 1)
-    np.add.at(deg, v, 1)
+    deg = g.degrees()
     jitter = edge_rank(u, v, seed=seed + 1000)
     w = (deg[u] + deg[v]).astype(np.float64) + jitter
     if len(np.unique(w)) != len(w):  # pragma: no cover - astronomically unlikely

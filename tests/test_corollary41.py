@@ -2,6 +2,7 @@
 import itertools
 
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro import reference as ref
@@ -55,18 +56,39 @@ def test_weighted_matching_half_approx(spark, seed):
     assert got_w >= opt / 2 - 1e-9
 
 
-def test_weighted_matching_is_heaviest_first_greedy(spark):
-    g = gen.with_degree_weights(gen.chung_lu(60, 5, 2.2, seed=1))
-    got = ampc_weighted_matching(spark, g, seed=0).edges
-    # sequential heaviest-first greedy
-    order = np.argsort(-g.w(), kind="stable")
+def _heaviest_first_greedy(g):
+    """Sequential greedy over the edges by decreasing ``w``, ties by ``(u, v)``."""
     matched, want = set(), set()
-    for i in order.tolist():
+    for i in np.lexsort((g.v(), g.u(), -g.w())).tolist():
         a, b = int(g.u()[i]), int(g.v()[i])
         if a not in matched and b not in matched:
             matched.update((a, b))
             want.add((a, b))
-    assert got == want
+    return want
+
+
+def test_weighted_matching_is_heaviest_first_greedy(spark):
+    g = gen.with_degree_weights(gen.chung_lu(60, 5, 2.2, seed=1))
+    assert ampc_weighted_matching(spark, g, seed=0).edges == _heaviest_first_greedy(g)
+
+
+def test_weighted_matching_star_of_equal_weights(spark):
+    """Equal ranks must not make every edge of the star earliest."""
+    edges = pd.DataFrame({"u": [0, 0, 0], "v": [1, 2, 3], "w": [1.0, 1.0, 1.0]})
+    g = gen.GraphData(n=4, edges=edges.astype({"u": np.int64, "v": np.int64}))
+    got = ampc_weighted_matching(spark, g, seed=0).edges
+    assert ref.is_matching(got)
+    assert got == _heaviest_first_greedy(g) == {(0, 1)}
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_weighted_matching_tied_weights(spark, seed):
+    g = gen.chung_lu(300, 6, 2.2, seed=seed)
+    w = np.random.default_rng(seed).integers(1, 4, g.m).astype(np.float64)
+    g = gen.GraphData(n=g.n, edges=g.edges.assign(w=w))
+    got = ampc_weighted_matching(spark, g, seed=seed).edges
+    assert ref.is_matching(got)
+    assert got == _heaviest_first_greedy(g)
 
 
 #: ``(queries, cache hits, kv_bytes)`` of the pinned weighted matching

@@ -7,7 +7,7 @@ import pytest
 
 from repro import reference as ref
 from repro.ampc import dht as dht_mod
-from repro.ampc.cost import LATENCY_S, modeled_time
+from repro.ampc.cost import CONCURRENCY, LATENCY_S, modeled_time
 from repro.ampc.dht import CSRStore, Meter, adaptive_round, build_sorted_adjacency
 from repro.graphs import generators as gen
 from repro.graphs.generators import GraphData
@@ -258,8 +258,8 @@ class TestCostModel:
 
     def test_latency_arithmetic(self):
         q = 1000
-        assert modeled_time(1.0, q, "rdma", concurrency=1) == pytest.approx(
-            1.0 + q * LATENCY_S["rdma"]
+        assert modeled_time(1.0, q, "rdma") == pytest.approx(
+            1.0 + q * LATENCY_S["rdma"] / CONCURRENCY
         )
 
     def test_unknown_transport(self):

@@ -1,9 +1,12 @@
 """MIS: AMPC (Fig. 1) and MPC (Fig. 2) vs the sequential greedy oracle."""
+import signal
+
 import numpy as np
 import pytest
 
 from repro import reference as ref
-from repro.core.mis import ampc_mis, mpc_mis
+from repro.ampc.dht import CSRStore, Meter
+from repro.core.mis import _mis_process, _pi_positions, ampc_mis, mpc_mis
 from repro.graphs import generators as gen
 from repro.runtime import RoundContext
 
@@ -120,6 +123,43 @@ def test_ampc_mis_counts_pinned(spark, seed, cache):
     pinned = by_parallelism.get(spark.sparkContext.defaultParallelism)
     if pinned is not None:  # recorded for these slicings only
         assert (ctx.queries, ctx.cache_hits, ctx.kv_bytes) == pinned
+
+
+@pytest.mark.parametrize("cache,queries,hits", [(True, 500, 164), (False, 1947, 1447)])
+def test_mis_process_pinned(cache, queries, hits):
+    """The round's per-partition query process with every position in one
+    partition, on the π-directed store of ``chung_lu(500, 8, 2.2)``:
+    the greedy MIS and pinned query and cache-hit counts."""
+    g = gen.chung_lu(500, 8, 2.2, seed=0)
+    order, pos, renamed = _pi_positions(g, 0)
+    earlier = renamed.u()
+    store = CSRStore.from_rows(renamed.v(), earlier, earlier.astype(np.float64))
+    meter = Meter()
+    rows = _mis_process(pos.tolist(), store, meter, cache)
+    assert set(order[[x for x, in_mis in rows if in_mis]].tolist()) == ref.greedy_mis(
+        g.n, g.u(), g.v(), 0
+    )
+    assert (meter.queries, meter.cache_hits) == (queries, hits)
+
+
+def test_mis_process_rejects_later_neighbour():
+    """A store row that lists a neighbour not earlier in π (here: both
+    orientations of a 3-path) raises within 5 s instead of recursing
+    forever."""
+    src, dst = np.array([0, 1, 1, 2]), np.array([1, 0, 2, 1])
+    store = CSRStore.from_rows(src, dst, dst.astype(np.float64))
+
+    def expire(signum, frame):
+        raise TimeoutError("_mis_process still running after 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    try:
+        with pytest.raises(RuntimeError, match="row 0"):
+            _mis_process([0, 1, 2], store, Meter(), True)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("seed", [0, 3])
